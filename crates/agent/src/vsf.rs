@@ -16,6 +16,7 @@ use std::collections::BTreeMap;
 
 use flexran_proto::messages::delegation::{VsfArtifact, VsfPush};
 use flexran_stack::mac::scheduler::{DlScheduler, UlScheduler};
+use flexran_types::hash::Fnv1a;
 use flexran_types::{FlexError, Result};
 
 use crate::cmi::HandoverVsf;
@@ -211,16 +212,11 @@ impl DlScheduler for RemoteStubScheduler {
 // Code signing
 // ----------------------------------------------------------------------
 
-/// The trusted authority's signing key (in a real deployment: a private
-/// key whose public half is provisioned to agents).
-const SIGNING_KEY: u64 = 0x46_4C_45_58_52_41_4E_21; // "FLEXRAN!"
-
-fn fnv1a(data: &[u8], mut hash: u64) -> u64 {
-    for b in data {
-        hash ^= *b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
+/// Keyed FNV-1a over a push's canonical signing payload.
+fn push_signature(push: &VsfPush) -> [u8; 8] {
+    let mut h = Fnv1a::keyed(flexran_proto::SIGNING_KEY);
+    h.write(&signing_payload(push));
+    h.finish().to_be_bytes()
 }
 
 /// Canonical byte string a push is signed over.
@@ -247,14 +243,12 @@ fn signing_payload(push: &VsfPush) -> Vec<u8> {
 
 /// Sign a push (the trusted authority / master side).
 pub fn sign_push(push: &mut VsfPush) {
-    let h = fnv1a(&signing_payload(push), SIGNING_KEY ^ 0xcbf29ce484222325);
-    push.signature = h.to_be_bytes().to_vec();
+    push.signature = push_signature(push).to_vec();
 }
 
 /// Verify a push's signature (the agent side).
 pub fn verify_push(push: &VsfPush) -> Result<()> {
-    let h = fnv1a(&signing_payload(push), SIGNING_KEY ^ 0xcbf29ce484222325);
-    if push.signature == h.to_be_bytes() {
+    if push.signature == push_signature(push) {
         Ok(())
     } else {
         Err(FlexError::Delegation(format!(

@@ -20,7 +20,6 @@ fn main() {
     let mut out_dir = "target/experiments".to_string();
     let mut seeds_override = None;
     let mut ttis_override = None;
-    let mut shards_override = None;
     let mut ids: Vec<String> = Vec::new();
     // A proper little parser: flags that take a value consume it, so a
     // value like "8" is never mistaken for an experiment id.
@@ -40,15 +39,8 @@ fn main() {
             "--ttis" => {
                 ttis_override = Some(value("--ttis").parse().expect("--ttis takes a number"))
             }
-            "--shards" => {
-                shards_override = Some(
-                    value("--shards")
-                        .parse()
-                        .expect("--shards takes a shard count (0 = one per agent)"),
-                )
-            }
             other if other.starts_with("--") => {
-                panic!("unknown flag '{other}' (flags: --quick --out DIR --seeds N --ttis N --shards N)")
+                panic!("unknown flag '{other}' (flags: --quick --out DIR --seeds N --ttis N)")
             }
             id => ids.push(id.to_string()),
         }
@@ -69,7 +61,6 @@ fn main() {
     let mut ctx = ExpContext::new(quick, &out_dir);
     ctx.seeds_override = seeds_override;
     ctx.ttis_override = ttis_override;
-    ctx.shards_override = shards_override;
     println!(
         "FlexRAN experiment suite — mode: {}, output: {out_dir}/",
         if quick { "quick" } else { "full" }

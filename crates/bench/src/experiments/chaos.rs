@@ -12,7 +12,7 @@
 //! distributions (throughput, TTI latency, allocs/TTI) across the
 //! seeds, turning the soak into a statistics-grade measurement.
 
-use flexran_campaign::chaos::{run_chaos_campaign, ChaosCampaignSpec, ChaosVariant};
+use flexran_campaign::chaos::{run_chaos_campaign, ChaosCampaignSpec};
 use flexran_campaign::{alloc_probe, CancelToken};
 
 use crate::{alloc_counter, csv, ExpContext, ExpResult};
@@ -31,20 +31,6 @@ pub fn chaos(ctx: &ExpContext) -> ExpResult {
     // config-provenance oracle is exercised against corrupted canary
     // pushes, crashing canaries and mid-rollout master recoveries.
     spec.base.rollout_prob = 0.005;
-    spec.variants = vec![match ctx.shards_override {
-        None => ChaosVariant {
-            label: "shards=1".to_string(),
-            shards: flexran::prelude::ShardSpec::Auto,
-        },
-        Some(0) => ChaosVariant {
-            label: "shards=per-agent".to_string(),
-            shards: flexran::prelude::ShardSpec::PerAgent,
-        },
-        Some(n) => ChaosVariant {
-            label: format!("shards={n}"),
-            shards: flexran::prelude::ShardSpec::Fixed(n),
-        },
-    }];
 
     let mut res = ExpResult::new(
         "chaos",
@@ -92,14 +78,11 @@ pub fn chaos(ctx: &ExpContext) -> ExpResult {
     }
 
     res.note(format!(
-        "{seeds} seeds × {ttis} TTIs ({} sharding) on {} campaign workers, zero \
+        "{seeds} seeds × {ttis} TTIs (serial engine) on {} campaign workers, zero \
          tolerated violations. Oracles: failover legality, PRB capacity, HARQ \
          monotonicity, RIB↔stack consistency, command conservation, decision \
          sanity, shard ownership, budget-monitor consistency, config \
          provenance. Any violation pins (config, seed, TTI) for exact replay.",
-        spec.variants
-            .first()
-            .map_or("shards=1", |v| v.label.as_str()),
         report.workers,
     ));
     for (name, d) in report.kpi_distributions() {

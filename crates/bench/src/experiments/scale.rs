@@ -8,8 +8,8 @@
 //!
 //! * TTIs/second and the per-phase wall-clock split (serial front —
 //!   the master cycle with its fanned-out shard RIB slots — phase A,
-//!   interference coupling, phase B, merge), across worker counts and
-//!   control-plane shard specs,
+//!   interference coupling, phase B, merge), serial and on the worker
+//!   pool (whose master has one RIB shard per worker),
 //! * heap allocations per TTI (the whole `step`, via this crate's
 //!   counting allocator),
 //! * a digest of the end-state observables, asserting the determinism
@@ -29,6 +29,8 @@ use flexran::agent::AgentConfig;
 use flexran::harness::{SimConfig, SimHarness, UeRadioSpec};
 use flexran::prelude::*;
 use flexran::sim::traffic::FullBufferSource;
+use flexran::stack::stats::fold_ue_digest;
+use flexran::types::hash::Fnv1a;
 
 use crate::{alloc_counter, csv, f2, ExpContext, ExpResult};
 
@@ -37,7 +39,6 @@ struct Sample {
     enbs: usize,
     ues_per_enb: usize,
     workers: usize,
-    shards: &'static str,
     ttis: u64,
     ttis_per_sec: f64,
     serial_front_ns: u64,
@@ -65,27 +66,10 @@ struct Sample {
 /// comparable to the committed baseline (same total TTI count).
 const WARMUP_TTIS: u64 = 2_000;
 
-fn fnv(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100000001b3);
-    }
-}
-
-fn build(
-    n_enbs: usize,
-    ues_per_enb: usize,
-    workers: Option<usize>,
-    shards: ShardSpec,
-    seed: u64,
-) -> SimHarness {
+fn build(n_enbs: usize, ues_per_enb: usize, workers: Option<usize>, seed: u64) -> SimHarness {
     let mut sim = SimHarness::new(SimConfig {
         seed,
         workers,
-        master: TaskManagerConfig {
-            shards,
-            ..TaskManagerConfig::default()
-        },
         ..SimConfig::default()
     });
     for e in 0..n_enbs {
@@ -109,30 +93,15 @@ fn build(
 /// Digest of the end-state observables: every UE's delivered-bit
 /// counters and queue state, in UE-id order.
 fn digest(sim: &SimHarness, n_enbs: usize, ues_per_enb: usize) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
+    let mut h = Fnv1a::new();
     for id in 1..=(n_enbs * ues_per_enb) as u32 {
-        let Some(s) = sim.ue_stats(UeId(id)) else {
-            fnv(&mut h, u64::MAX);
-            continue;
-        };
-        fnv(&mut h, s.dl_delivered_bits);
-        fnv(&mut h, s.ul_delivered_bits);
-        fnv(&mut h, s.dl_queue_bytes.as_u64());
-        fnv(&mut h, s.cqi.0 as u64);
-        fnv(&mut h, s.harq_tx + s.harq_retx);
+        fold_ue_digest(&mut h, sim.ue_stats(UeId(id)).as_ref());
     }
-    h
+    h.finish()
 }
 
-fn run_point(
-    n_enbs: usize,
-    ues_per_enb: usize,
-    workers: Option<usize>,
-    shards: ShardSpec,
-    shards_label: &'static str,
-    ttis: u64,
-) -> Sample {
-    let mut sim = build(n_enbs, ues_per_enb, workers, shards, 7);
+fn run_point(n_enbs: usize, ues_per_enb: usize, workers: Option<usize>, ttis: u64) -> Sample {
+    let mut sim = build(n_enbs, ues_per_enb, workers, 7);
     sim.run(100); // attach + short warm-up (digest parity with baseline)
     sim.reset_budget(); // percentiles cover only the measured window
     let t0_timings = sim.phase_timings();
@@ -146,7 +115,6 @@ fn run_point(
         enbs: n_enbs,
         ues_per_enb,
         workers: workers.unwrap_or(1),
-        shards: shards_label,
         ttis,
         ttis_per_sec: ttis as f64 / wall.as_secs_f64(),
         serial_front_ns: t.serial_front_ns - t0_timings.serial_front_ns,
@@ -170,7 +138,7 @@ fn run_point(
 /// over a measured window. The zero-alloc-TTI contract says this is
 /// exactly 0 — the `scale` experiment asserts it for every grid point.
 fn steady_alloc_probe(n_enbs: usize, ues_per_enb: usize, ttis: u64) -> u64 {
-    let mut sim = build(n_enbs, ues_per_enb, None, ShardSpec::Auto, 7);
+    let mut sim = build(n_enbs, ues_per_enb, None, 7);
     sim.run(WARMUP_TTIS);
     let (_, allocs, _) = alloc_counter::measure(|| sim.run(ttis));
     allocs
@@ -271,12 +239,11 @@ pub fn scale(ctx: &ExpContext) -> ExpResult {
 
     let mut r = ExpResult::new(
         "scale",
-        "parallel TTI engine: serial vs worker-pool vs sharded-master scaling",
+        "parallel TTI engine: serial vs worker-pool (one master shard per worker) scaling",
         &[
             "eNBs",
             "UEs/eNB",
             "workers",
-            "shards",
             "TTIs/s",
             "phaseA ms",
             "phaseB ms",
@@ -294,24 +261,9 @@ pub fn scale(ctx: &ExpContext) -> ExpResult {
     let mut front_speedup_4x64 = 0.0;
     let mut all_identical = true;
     for &(enbs, ues) in grid {
-        let serial = run_point(enbs, ues, None, ShardSpec::Auto, "1", ttis);
-        let parallel = run_point(
-            enbs,
-            ues,
-            Some(parallel_workers),
-            ShardSpec::Auto,
-            "1",
-            ttis,
-        );
-        let sharded = run_point(
-            enbs,
-            ues,
-            Some(parallel_workers),
-            ShardSpec::PerAgent,
-            "per-agent",
-            ttis,
-        );
-        let identical = serial.digest == parallel.digest && serial.digest == sharded.digest;
+        let serial = run_point(enbs, ues, None, ttis);
+        let parallel = run_point(enbs, ues, Some(parallel_workers), ttis);
+        let identical = serial.digest == parallel.digest;
         all_identical &= identical;
         let probe_ttis = ctx.ttis(500, 200);
         let steady_allocs = steady_alloc_probe(enbs, ues, probe_ttis);
@@ -332,14 +284,13 @@ pub fn scale(ctx: &ExpContext) -> ExpResult {
         }
         if (enbs, ues) == (4, 64) {
             front_speedup_4x64 =
-                serial.serial_front_ns as f64 / (sharded.serial_front_ns as f64).max(1.0);
+                serial.serial_front_ns as f64 / (parallel.serial_front_ns as f64).max(1.0);
         }
-        for s in [&serial, &parallel, &sharded] {
+        for s in [&serial, &parallel] {
             let cells = vec![
                 s.enbs.to_string(),
                 s.ues_per_enb.to_string(),
                 s.workers.to_string(),
-                s.shards.to_string(),
                 format!("{:.0}", s.ttis_per_sec),
                 f2(s.phase_a_ns as f64 / 1e6),
                 f2(s.phase_b_ns as f64 / 1e6),
@@ -355,7 +306,6 @@ pub fn scale(ctx: &ExpContext) -> ExpResult {
                 "enbs": s.enbs,
                 "ues_per_enb": s.ues_per_enb,
                 "workers": s.workers,
-                "shards": s.shards,
                 "ttis": s.ttis,
                 "ttis_per_sec": s.ttis_per_sec,
                 "serial_front_ns": s.serial_front_ns,
@@ -381,7 +331,6 @@ pub fn scale(ctx: &ExpContext) -> ExpResult {
                 "enbs",
                 "ues_per_enb",
                 "workers",
-                "shards",
                 "ttis_per_sec",
                 "phase_a_ms",
                 "phase_b_ms",
@@ -432,8 +381,8 @@ pub fn scale(ctx: &ExpContext) -> ExpResult {
     ));
     r.note(format!(
         "speedup at 8 eNBs × 64 UEs: {:.2}× with {} workers; serial-front speedup at \
-         4 eNBs × 64 UEs with per-agent shards: {:.2}×; observables bit-identical: {}",
-        speedup_8x64, parallel_workers, front_speedup_4x64, all_identical
+         4 eNBs × 64 UEs with {} shards: {:.2}×; observables bit-identical: {}",
+        speedup_8x64, parallel_workers, parallel_workers, front_speedup_4x64, all_identical
     ));
     for (name, allocs) in &probe {
         r.note(format!(
@@ -442,7 +391,7 @@ pub fn scale(ctx: &ExpContext) -> ExpResult {
     }
     assert!(
         all_identical,
-        "parallel/sharded run diverged from serial (determinism contract broken)"
+        "parallel run diverged from serial (determinism contract broken)"
     );
     r
 }
@@ -466,7 +415,7 @@ pub const ALLOC_CEILING_2X32: u64 = 0;
 #[allow(clippy::absurd_extreme_comparisons)]
 pub fn allocgate(ctx: &ExpContext) -> ExpResult {
     let ttis = ctx.ttis(500, 100);
-    let mut sim = build(2, 32, None, ShardSpec::Auto, 7);
+    let mut sim = build(2, 32, None, 7);
     sim.run(WARMUP_TTIS);
     let (_, allocs, frees) = alloc_counter::measure(|| sim.run(ttis));
 

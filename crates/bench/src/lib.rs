@@ -113,9 +113,6 @@ pub struct ExpContext {
     pub seeds_override: Option<u64>,
     /// CLI override for run length (`--ttis N`).
     pub ttis_override: Option<u64>,
-    /// CLI override for control-plane shard count (`--shards N`);
-    /// `Some(0)` means one shard per agent.
-    pub shards_override: Option<usize>,
 }
 
 impl ExpContext {
@@ -127,7 +124,6 @@ impl ExpContext {
             out_dir,
             seeds_override: None,
             ttis_override: None,
-            shards_override: None,
         }
     }
 

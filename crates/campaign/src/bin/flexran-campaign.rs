@@ -5,7 +5,7 @@
 //! flexran-campaign sweep --seeds 8 --ttis 2000 --grid 1x16,2x32 --out target/campaign
 //! ```
 //!
-//! `chaos` fans N seeds × M shard-spec variants of the seeded fault
+//! `chaos` fans N seeds × M engine-worker variants of the seeded fault
 //! orchestrator and fails (exit 1) on any oracle violation, printing
 //! the exact `(config, seed, TTI)` pin to replay each one. `sweep` runs
 //! the scale grid across seeds and writes a distribution-grade
@@ -79,10 +79,11 @@ static ALLOC: counting_alloc::CountingAllocator = counting_alloc::CountingAlloca
 const USAGE: &str = "\
 usage: flexran-campaign <chaos|sweep> [flags]
 
-  chaos — N seeds x M shard-spec variants of the seeded fault orchestrator
+  chaos — N seeds x M engine variants of the seeded fault orchestrator
     --seeds N             seeds 0..N per variant          (default 8)
     --ttis N              chaos TTIs per run              (default 2000)
-    --configs LIST        shard specs, e.g. 1,4,per-agent (default 1)
+    --configs LIST        TTI-engine worker counts (= master
+                          shard counts), e.g. 1,4        (default 1)
     --negative-control T  inject a PRB violation at TTI T (proves the
                           oracles fire and pin correctly; inverts exit)
   sweep — the scale grid across seeds; BENCH_scale.json with CIs

@@ -11,33 +11,34 @@
 use crate::alloc_probe;
 use crate::pool::{run_pool, CancelToken, Progress};
 use crate::report::{CampaignReport, RunRecord, ViolationPin};
-use flexran::prelude::ShardSpec;
 use flexran_chaos::{run_chaos_instrumented, ChaosConfig};
 
-/// One control-plane configuration the campaign soaks. Variants let a
-/// single campaign cover, say, the unsharded and the 4-shard master in
-/// one parallel invocation (what `scripts/check.sh` does).
+/// One engine configuration the campaign soaks: the TTI engine's worker
+/// count (and with it the master's shard count) inside each run — not
+/// the campaign pool's own `workers`. Variants let a single campaign
+/// cover, say, the serial and the 4-worker engine in one parallel
+/// invocation (what `scripts/check.sh` does).
 #[derive(Debug, Clone)]
 pub struct ChaosVariant {
     pub label: String,
-    pub shards: ShardSpec,
+    pub engine_workers: usize,
 }
 
 impl ChaosVariant {
-    /// Parse a CLI token: `auto`/`1` → single shard, `0`/`per-agent` →
-    /// one shard per agent, `N` → `N` fixed shards.
+    /// A variant running each simulation on `engine_workers` threads.
+    pub fn engine(engine_workers: usize) -> ChaosVariant {
+        ChaosVariant {
+            label: format!("engine_workers={engine_workers}"),
+            engine_workers,
+        }
+    }
+
+    /// Parse a CLI token: `N` (≥ 1) → an `N`-worker engine.
     pub fn parse(token: &str) -> Result<ChaosVariant, String> {
-        let (label, shards) = match token.trim() {
-            "auto" | "1" => ("shards=1".to_string(), ShardSpec::Auto),
-            "per-agent" | "0" => ("shards=per-agent".to_string(), ShardSpec::PerAgent),
-            n => {
-                let n: usize = n
-                    .parse()
-                    .map_err(|_| format!("bad shard spec '{n}' (want auto, per-agent, or N)"))?;
-                (format!("shards={n}"), ShardSpec::Fixed(n))
-            }
-        };
-        Ok(ChaosVariant { label, shards })
+        match token.trim().parse() {
+            Ok(n) if n >= 1 => Ok(ChaosVariant::engine(n)),
+            _ => Err(format!("bad engine worker count '{token}' (want N >= 1)")),
+        }
     }
 }
 
@@ -46,12 +47,13 @@ impl ChaosVariant {
 /// description of every run it fans out.
 #[derive(Debug, Clone)]
 pub struct ChaosCampaignSpec {
-    /// Template config; `seed` and `shards` are overridden per run.
+    /// Template config; `seed` and `engine_workers` are overridden per run.
     pub base: ChaosConfig,
     /// Seeds `0..seeds` per variant.
     pub seeds: u64,
     pub variants: Vec<ChaosVariant>,
-    /// Worker threads (clamped to the plan size; 0 means 1).
+    /// Campaign pool threads, one run each (clamped to the plan size;
+    /// 0 means 1).
     pub workers: usize,
 }
 
@@ -63,10 +65,7 @@ impl ChaosCampaignSpec {
                 ..ChaosConfig::default()
             },
             seeds,
-            variants: vec![ChaosVariant {
-                label: "shards=1".to_string(),
-                shards: ShardSpec::Auto,
-            }],
+            variants: vec![ChaosVariant::engine(1)],
             workers,
         }
     }
@@ -82,7 +81,7 @@ impl ChaosCampaignSpec {
                     variant.label.clone(),
                     ChaosConfig {
                         seed,
-                        shards: variant.shards,
+                        engine_workers: variant.engine_workers,
                         ..self.base.clone()
                     },
                 ));

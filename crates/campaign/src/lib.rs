@@ -18,7 +18,7 @@
 //!   with *exact* nearest-rank percentiles (p50/p95/p99), a mean, a
 //!   sample standard deviation and a 95% CI — property-tested against
 //!   an independent oracle.
-//! * [`chaos`] plans N seeds × M shard-spec variants of the seeded
+//! * [`chaos`] plans N seeds × M engine-worker variants of the seeded
 //!   fault orchestrator (`flexran-chaos`) — the campaign behind
 //!   `experiments chaos` and the `scripts/check.sh` chaos gate.
 //! * [`sweep`] runs the scale grid across seeds so `BENCH_scale.json`

@@ -13,7 +13,7 @@ use crate::stats::Distribution;
 /// `(seed, TTI)` — and the config variant — that replays it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ViolationPin {
-    /// Config-variant label of the violating run (e.g. `shards=4`).
+    /// Config-variant label of the violating run (e.g. `engine_workers=4`).
     pub label: String,
     pub seed: u64,
     pub tti: u64,

@@ -10,7 +10,6 @@
 //! 3. **Cancellation accounting** — a cancelled campaign reports its
 //!    skipped runs and never reads as green.
 
-use flexran::prelude::ShardSpec;
 use flexran_campaign::chaos::{run_chaos_campaign, run_one, ChaosCampaignSpec, ChaosVariant};
 use flexran_campaign::{CancelToken, RunRecord};
 use flexran_chaos::{run_chaos, ChaosConfig};
@@ -76,13 +75,10 @@ fn worker_count_does_not_change_the_aggregate() {
 
 #[test]
 fn sharded_variants_share_the_serial_contract() {
-    // A 2-shard master must replay bit-identically too — the campaign
-    // covers shard variants precisely because this held historically.
+    // A 2-worker engine (so a 2-shard master) must replay
+    // bit-identically inside the pool too, and match the serial engine.
     let mut spec = small_spec(2, 2);
-    spec.variants = vec![ChaosVariant {
-        label: "shards=2".to_string(),
-        shards: ShardSpec::Fixed(2),
-    }];
+    spec.variants = vec![ChaosVariant::engine(1), ChaosVariant::engine(2)];
     let serial: Vec<u64> = spec
         .plan()
         .iter()
@@ -93,6 +89,8 @@ fn sharded_variants_share_the_serial_contract() {
         .map(|r| r.digest)
         .collect();
     assert_eq!(serial, pooled);
+    let (one, two) = serial.split_at(2);
+    assert_eq!(one, two, "engine worker count changed the digests");
 }
 
 #[test]

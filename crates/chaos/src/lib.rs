@@ -48,6 +48,8 @@ use flexran::proto::{ReportConfig, ReportFlags, ReportType, VsfArtifact, VsfPush
 use flexran::sim::link::{FaultConfig, FaultHandle, LinkConfig, WireFaults};
 use flexran::sim::traffic::CbrSource;
 use flexran::stack::mac::scheduler::RoundRobinScheduler;
+use flexran::stack::stats::fold_ue_digest;
+use flexran::types::hash::Fnv1a;
 
 /// Knobs of one chaos run. Everything is derived from `seed`; two runs
 /// with equal configs produce bit-identical [`ChaosReport`]s.
@@ -99,9 +101,10 @@ pub struct ChaosConfig {
     /// Negative control: force a PRB-capacity violation at (or right
     /// after) this TTI, proving the oracles fire and replay exactly.
     pub inject_violation_at: Option<u64>,
-    /// Control-plane sharding for the master under test
-    /// ([`ShardSpec::Auto`] keeps the single-shard layout).
-    pub shards: ShardSpec,
+    /// Worker threads of the TTI engine under test (`SimConfig::workers`;
+    /// the master gets one RIB shard per worker). 1 is the serial
+    /// engine; the report is bit-identical for every count.
+    pub engine_workers: usize,
 }
 
 impl Default for ChaosConfig {
@@ -132,7 +135,7 @@ impl Default for ChaosConfig {
             queue_cap: 64,
             grace: 250,
             inject_violation_at: None,
-            shards: ShardSpec::Auto,
+            engine_workers: 1,
         }
     }
 }
@@ -189,13 +192,6 @@ pub struct ChaosTelemetry {
     pub budget: flexran::types::budget::BudgetStats,
 }
 
-fn fnv(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100000001b3);
-    }
-}
-
 fn chaos_agent_config() -> AgentConfig {
     AgentConfig {
         initial_dl_scheduler: Some("remote-stub".into()),
@@ -250,11 +246,10 @@ pub fn run_chaos_instrumented(config: &ChaosConfig) -> (ChaosReport, ChaosTeleme
         master: TaskManagerConfig {
             liveness_timeout: 40,
             journal_snapshot_every: 8,
-            shards: config.shards,
             ..TaskManagerConfig::default()
         },
         seed: config.seed,
-        workers: None,
+        workers: Some(config.engine_workers),
         tti_budget_ns: flexran::types::budget::DEFAULT_TTI_BUDGET_NS,
     };
     let mut sim = SimHarness::new(sim_cfg);
@@ -448,21 +443,16 @@ pub fn run_chaos_instrumented(config: &ChaosConfig) -> (ChaosReport, ChaosTeleme
     // fault log and the verdict. Everything folded here is derived from
     // the seeded schedule, so replays (serial, pooled, cross-process)
     // reproduce it bit-identically.
-    let mut digest = 0xcbf29ce484222325u64;
+    let mut digest = Fnv1a::new();
     let mut dl_delivered_bits = 0u64;
     let mut ul_delivered_bits = 0u64;
     for &ue in &ues {
-        let Some(s) = sim.ue_stats(ue) else {
-            fnv(&mut digest, u64::MAX);
-            continue;
-        };
-        fnv(&mut digest, s.dl_delivered_bits);
-        fnv(&mut digest, s.ul_delivered_bits);
-        fnv(&mut digest, s.dl_queue_bytes.as_u64());
-        fnv(&mut digest, s.cqi.0 as u64);
-        fnv(&mut digest, s.harq_tx + s.harq_retx);
-        dl_delivered_bits += s.dl_delivered_bits;
-        ul_delivered_bits += s.ul_delivered_bits;
+        let stats = sim.ue_stats(ue);
+        fold_ue_digest(&mut digest, stats.as_ref());
+        if let Some(s) = stats {
+            dl_delivered_bits += s.dl_delivered_bits;
+            ul_delivered_bits += s.ul_delivered_bits;
+        }
     }
     for v in [
         log.agent_crashes,
@@ -474,7 +464,7 @@ pub fn run_chaos_instrumented(config: &ChaosConfig) -> (ChaosReport, ChaosTeleme
         log.rollouts,
         oracles.total,
     ] {
-        fnv(&mut digest, v);
+        digest.write_u64(v);
     }
 
     let report = ChaosReport {
@@ -483,7 +473,7 @@ pub fn run_chaos_instrumented(config: &ChaosConfig) -> (ChaosReport, ChaosTeleme
         faults: log,
         violations_total: oracles.total,
         violations: oracles.violations,
-        digest,
+        digest: digest.finish(),
         dl_delivered_bits,
         ul_delivered_bits,
     };

@@ -2,7 +2,6 @@
 //! and the negative control (an injected violation must reproduce with
 //! the exact same seed and TTI on every run).
 
-use flexran::prelude::ShardSpec;
 use flexran_chaos::{run_chaos, ChaosConfig};
 
 fn quick(seed: u64) -> ChaosConfig {
@@ -44,20 +43,20 @@ fn quick_soak_is_clean_and_actually_injects_faults() {
 
 #[test]
 fn sharded_soak_is_clean_and_matches_the_single_shard_run() {
-    // The sharded control plane must survive the same fault schedule
-    // with zero violations (including the shard-ownership oracle), and
-    // — since sharding is behaviour-transparent — produce the exact
-    // same fault log and verdict as the single-shard run of the seed.
+    // The parallel engine, and with it the sharded control plane, must
+    // survive the same fault schedule with zero violations (including
+    // the shard-ownership oracle), and — since both are behaviour-
+    // transparent — reproduce the serial run of the seed exactly.
     let base = run_chaos(&quick(11));
-    for shards in [ShardSpec::Fixed(3), ShardSpec::PerAgent] {
+    for engine_workers in [2, 3] {
         let cfg = ChaosConfig {
-            shards,
+            engine_workers,
             ..quick(11)
         };
         let report = run_chaos(&cfg);
         assert!(
             report.pass(),
-            "sharded ({shards:?}) run violated invariants:\n{}",
+            "{engine_workers}-worker run violated invariants:\n{}",
             report
                 .violations
                 .iter()
@@ -66,8 +65,8 @@ fn sharded_soak_is_clean_and_matches_the_single_shard_run() {
                 .join("\n")
         );
         assert_eq!(
-            report.faults, base.faults,
-            "shard spec {shards:?} changed the fault schedule"
+            report, base,
+            "{engine_workers} engine workers changed the report"
         );
     }
 }

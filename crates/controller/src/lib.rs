@@ -20,8 +20,8 @@
 //!   each write cycle (one segment per shard), and the recovery path
 //!   that lets a restarted master rebuild the RIB and reconcile via
 //!   agent re-sync.
-//! * [`shard`] — the partitioned control plane: per-agent (groupable)
-//!   RIB shards, each with its own single-writer updater and journal
+//! * [`shard`] — the partitioned control plane: RIB shards owning
+//!   agents by id, each with its own single-writer updater and journal
 //!   segment, plus the typed cross-shard mailbox.
 //! * [`config`] — versioned fleet configuration: the signed bundle
 //!   store and the KPI-gated canary rollout state machine with
@@ -47,5 +47,5 @@ pub use northbound::{
     App, AppRegistry, ConflictGuard, ControlHandle, Northbound, Priority, RibView,
 };
 pub use rib::{AgentNode, CellNode, Rib, UeNode};
-pub use shard::{merged_rib, CrossShardMsg, RibShard, ShardSpec};
+pub use shard::{merged_rib, CrossShardMsg, RibShard};
 pub use updater::{NotifiedEvent, RibUpdater};

@@ -13,7 +13,10 @@
 //! plane"), the RIB slot is partitioned over [`RibShard`]s: each shard
 //! owns a disjoint set of agents with their RIB subtrees, updater and
 //! journal segment, so a harness can fan shard slots out on its worker
-//! pool. A cycle is three steps:
+//! pool. The shard count is a constructor argument:
+//! [`MasterController::new`] builds the classic one-shard master, and
+//! [`MasterController::with_shards`] is what a harness with `n` engine
+//! workers uses. A cycle is three steps:
 //!
 //! 1. [`MasterController::begin_cycle`] — serial: route limbo sessions
 //!    (attached but not yet hello'd) to their owning shards.
@@ -44,6 +47,7 @@ use flexran_proto::messages::{ConfigBundlePush, FlexranMessage, Header, ResyncRe
 use flexran_proto::transport::Transport;
 use flexran_proto::MessageCategory;
 use flexran_types::budget::{BudgetStats, TtiBudget, DEFAULT_TTI_BUDGET_NS};
+use flexran_types::hash::Fnv1a;
 use flexran_types::ids::EnbId;
 use flexran_types::time::Tti;
 use flexran_types::{FlexError, Result};
@@ -55,9 +59,7 @@ use crate::config::{
 use crate::journal::{encode_segments, split_segments, RibJournal};
 use crate::northbound::{App, AppRegistry, Northbound, RibView};
 use crate::rib::Rib;
-use crate::shard::{
-    merged_rib, CrossShardMsg, ReplayOp, RibShard, Session, ShardSpec, TaggedEvent,
-};
+use crate::shard::{merged_rib, owner_of, CrossShardMsg, ReplayOp, RibShard, Session, TaggedEvent};
 
 /// Task Manager configuration.
 #[derive(Debug, Clone, Copy)]
@@ -79,9 +81,6 @@ pub struct TaskManagerConfig {
     /// journal segment, and [`MasterController::recover`] can rebuild the
     /// RIB after a crash.
     pub journal_snapshot_every: u64,
-    /// How agents are partitioned over RIB shards. `Auto` (the default)
-    /// is one shard — the classic serial master.
-    pub shards: ShardSpec,
     /// Per-cycle wall-time deadline fed to the [`TtiBudget`] monitor
     /// (nanoseconds; LTE subframe = 1 ms). Observability only: the
     /// monitor reports latency percentiles and over-budget counts but
@@ -96,7 +95,6 @@ impl Default for TaskManagerConfig {
             rib_slot_fraction: 0.2,
             liveness_timeout: 0,
             journal_snapshot_every: 0,
-            shards: ShardSpec::Auto,
             tti_budget_ns: DEFAULT_TTI_BUDGET_NS,
         }
     }
@@ -198,11 +196,21 @@ pub struct MasterController {
 }
 
 impl MasterController {
+    /// A one-shard master: every standalone deployment (nothing runs its
+    /// RIB slot in parallel).
     pub fn new(config: TaskManagerConfig) -> Self {
-        let n = config.shards.initial_shards();
+        MasterController::with_shards(config, 1)
+    }
+
+    /// A master whose agents are partitioned over `n_shards` RIB shards
+    /// (agent `e` lives in shard `e mod n_shards`; 0 counts as 1). A
+    /// harness passes its engine worker count so each worker runs one
+    /// shard's RIB slot.
+    pub fn with_shards(config: TaskManagerConfig, n_shards: usize) -> Self {
+        let n = n_shards.max(1);
         MasterController {
             config,
-            shards: (0..n).map(|i| RibShard::new(i, n, None, &config)).collect(),
+            shards: (0..n).map(|i| RibShard::new(i, n, &config)).collect(),
             owner: BTreeMap::new(),
             limbo: Vec::new(),
             apps: AppRegistry::new(),
@@ -232,20 +240,27 @@ impl MasterController {
     /// replayed when each agent's `Hello` arrives. Agent transports must
     /// be re-attached via [`MasterController::add_agent`]; sessions
     /// re-learn their identity from the agents' hellos. Accepts both the
-    /// sharded `FXS1` container and a bare pre-sharding `FXJ1` journal.
-    pub fn recover(config: TaskManagerConfig, journal_bytes: &[u8], now: Tti) -> Result<Self> {
+    /// sharded `FXS1` container and a bare pre-sharding `FXJ1` journal,
+    /// written under any shard count; the recovered master has
+    /// `n_shards` shards (see [`MasterController::with_shards`]).
+    pub fn recover(
+        config: TaskManagerConfig,
+        journal_bytes: &[u8],
+        now: Tti,
+        n_shards: usize,
+    ) -> Result<Self> {
         let segments = split_segments(journal_bytes)?;
         let mut states = Vec::with_capacity(segments.len());
         for seg in &segments {
             states.push(RibJournal::parse(seg)?);
         }
-        let mut master = MasterController::new(config);
+        let mut master = MasterController::with_shards(config, n_shards);
         master.now = now;
         master.recovered = true;
         for state in &states {
             for r in &state.rib_records {
                 // Records route by agent id, so a journal written under
-                // one shard spec recovers correctly under another. A
+                // one shard count recovers correctly under another. A
                 // fresh shard RIB is writable until its first
                 // open_write_cycle, so replay needs no cycle bracketing
                 // (and recovery-time TTIs would violate the
@@ -563,23 +578,9 @@ impl MasterController {
         Ok(xid)
     }
 
-    /// The shard an agent routes to under the configured spec, creating
-    /// it on first sight (`PerAgent`). Idempotent per agent.
+    /// The shard that owns an agent, recorded in `owner`.
     fn assign_owner(&mut self, enb: EnbId) -> usize {
-        if let Some(&idx) = self.owner.get(&enb) {
-            return idx;
-        }
-        let idx = match self.config.shards {
-            ShardSpec::Auto => 0,
-            ShardSpec::Fixed(n) => enb.0 as usize % n.max(1),
-            ShardSpec::PerAgent => {
-                let idx = self.shards.len();
-                self.shards
-                    // lint:allow(alloc-reach) shard construction — once per newly-seen agent
-                    .push(RibShard::new(idx, idx + 1, Some(enb), &self.config));
-                idx
-            }
-        };
+        let idx = owner_of(enb, self.shards.len());
         self.owner.insert(enb, idx);
         idx
     }
@@ -943,36 +944,28 @@ impl MasterController {
     }
 }
 
-/// Signing helper re-exported here so the controller crate does not
-/// depend on the agent crate (the key/algorithm pair must match
-/// `flexran-agent`'s verifier; the shared-constant duplication is the
-/// model's stand-in for PKI).
+/// Signing helper kept here so the controller crate does not depend on
+/// the agent crate (the payload layout must match `flexran-agent`'s
+/// verifier; both sign with [`flexran_proto::SIGNING_KEY`]).
 fn sign_push_compat(push: &mut VsfPush) {
-    const SIGNING_KEY: u64 = 0x46_4C_45_58_52_41_4E_21;
-    let mut h = SIGNING_KEY ^ 0xcbf29ce484222325;
-    let mut feed = |data: &[u8]| {
-        for b in data {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
-    feed(push.module.as_bytes());
-    feed(&[0]);
-    feed(push.vsf.as_bytes());
-    feed(&[0]);
-    feed(push.name.as_bytes());
-    feed(&[0]);
+    let mut h = Fnv1a::keyed(flexran_proto::SIGNING_KEY);
+    h.write(push.module.as_bytes());
+    h.write(&[0]);
+    h.write(push.vsf.as_bytes());
+    h.write(&[0]);
+    h.write(push.name.as_bytes());
+    h.write(&[0]);
     match &push.artifact {
         flexran_proto::messages::VsfArtifact::Registry { key } => {
-            feed(&[0]);
-            feed(key.as_bytes());
+            h.write(&[0]);
+            h.write(key.as_bytes());
         }
         flexran_proto::messages::VsfArtifact::Dsl { source } => {
-            feed(&[1]);
-            feed(source.as_bytes());
+            h.write(&[1]);
+            h.write(source.as_bytes());
         }
     }
-    push.signature = h.to_be_bytes().to_vec();
+    push.signature = h.finish().to_be_bytes().to_vec();
 }
 
 #[cfg(test)]
@@ -1017,10 +1010,7 @@ mod tests {
 
     #[test]
     fn fixed_sharding_partitions_agents_by_id() {
-        let mut master = MasterController::new(TaskManagerConfig {
-            shards: ShardSpec::Fixed(2),
-            ..TaskManagerConfig::default()
-        });
+        let mut master = MasterController::with_shards(TaskManagerConfig::default(), 2);
         assert_eq!(master.n_shards(), 2);
         let mut agent_sides = Vec::new();
         for i in 1..=3u32 {
@@ -1066,37 +1056,6 @@ mod tests {
             .send_to(EnbId(2), FlexranMessage::EchoRequest(Default::default()))
             .unwrap();
         assert!(agent_sides[1].try_recv().unwrap().is_some());
-    }
-
-    #[test]
-    fn per_agent_sharding_allocates_on_hello() {
-        let mut master = MasterController::new(TaskManagerConfig {
-            shards: ShardSpec::PerAgent,
-            ..TaskManagerConfig::default()
-        });
-        assert_eq!(master.n_shards(), 0);
-        let mut links = Vec::new();
-        for i in [5u32, 9] {
-            let (mut agent_side, master_side) = channel_pair();
-            master.add_agent(Box::new(master_side));
-            agent_side
-                .send(
-                    Header::default(),
-                    &FlexranMessage::Hello(Hello {
-                        enb_id: EnbId(i),
-                        n_cells: 1,
-                        capabilities: vec![],
-                        applied_config: 0,
-                    }),
-                )
-                .unwrap();
-            master.run_cycle(Tti(i as u64));
-            links.push(agent_side);
-        }
-        assert_eq!(master.n_shards(), 2);
-        assert_eq!(master.shard_of(EnbId(5)), Some(0));
-        assert_eq!(master.shard_of(EnbId(9)), Some(1));
-        assert_eq!(master.view().n_agents(), 2);
     }
 
     #[test]
@@ -1306,7 +1265,7 @@ mod tests {
         let transports = master.take_transports();
         drop(master); // the crash
 
-        let mut master = MasterController::recover(config, &journal, Tti(50)).unwrap();
+        let mut master = MasterController::recover(config, &journal, Tti(50), 1).unwrap();
         for t in transports {
             master.add_agent(t);
         }
@@ -1417,7 +1376,7 @@ mod tests {
         let transports = master.take_transports();
         drop(master); // the crash
 
-        let mut master = MasterController::recover(config, &journal, Tti(50)).unwrap();
+        let mut master = MasterController::recover(config, &journal, Tti(50), 1).unwrap();
         for t in transports {
             master.add_agent(t);
         }
@@ -1483,14 +1442,13 @@ mod tests {
 
     #[test]
     fn sharded_journal_recovers_under_a_different_spec() {
-        // Write the journal under Fixed(2); recover under Auto. Records
-        // route by agent id, so the image is spec-portable.
-        let write_config = TaskManagerConfig {
+        // Write the journal under 2 shards; recover under 1. Records
+        // route by agent id, so the image is shard-count-portable.
+        let config = TaskManagerConfig {
             journal_snapshot_every: 4,
-            shards: ShardSpec::Fixed(2),
             ..TaskManagerConfig::default()
         };
-        let mut master = MasterController::new(write_config);
+        let mut master = MasterController::with_shards(config, 2);
         let mut links = Vec::new();
         for i in 1..=2u32 {
             let (mut agent_side, master_side) = channel_pair();
@@ -1514,11 +1472,7 @@ mod tests {
         let pre_crash = master.merged_rib();
         let journal = master.journal_bytes().unwrap();
 
-        let recover_config = TaskManagerConfig {
-            journal_snapshot_every: 4,
-            ..TaskManagerConfig::default()
-        };
-        let recovered = MasterController::recover(recover_config, &journal, Tti(50)).unwrap();
+        let recovered = MasterController::recover(config, &journal, Tti(50), 1).unwrap();
         assert_eq!(recovered.n_shards(), 1);
         let mut rib = recovered.merged_rib();
         for i in 1..=2u32 {
@@ -1534,8 +1488,8 @@ mod tests {
             journal_snapshot_every: 1,
             ..TaskManagerConfig::default()
         };
-        assert!(MasterController::recover(config, b"not a journal", Tti(0)).is_err());
-        assert!(MasterController::recover(config, &[], Tti(0)).is_err());
+        assert!(MasterController::recover(config, b"not a journal", Tti(0), 1).is_err());
+        assert!(MasterController::recover(config, &[], Tti(0), 1).is_err());
     }
 
     #[test]

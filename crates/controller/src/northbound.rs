@@ -560,8 +560,8 @@ mod tests {
     #[test]
     fn sharded_view_reads_across_shards_in_agent_order() {
         let config = TaskManagerConfig::default();
-        let mut a = RibShard::new(0, 2, None, &config);
-        let mut b = RibShard::new(1, 2, None, &config);
+        let mut a = RibShard::new(0, 2, &config);
+        let mut b = RibShard::new(1, 2, &config);
         // Shard 0 owns agent 4, shard 1 owns agents 1 and 3 — agent-id
         // order must still come out ascending.
         b.rib.agent_mut(EnbId(3)).last_sync = Some((Tti(7), Tti(8)));

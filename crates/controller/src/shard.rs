@@ -1,4 +1,4 @@
-//! Per-agent RIB shards: the partitioned control plane.
+//! RIB shards: the partitioned control plane.
 //!
 //! The paper's master is logically centralized but nothing in its cycle
 //! requires one serial loop: every agent message mutates only that
@@ -15,10 +15,12 @@
 //! * the agent sessions themselves, so a shard's RIB slot touches no
 //!   state outside the shard and can run on a worker thread.
 //!
-//! [`ShardSpec`] picks the partitioning: `Auto` (one shard — the classic
-//! serial master, the default), `Fixed(n)` (agents hashed over `n`
-//! shards by id), or `PerAgent` (a shard per agent, allocated at first
-//! `Hello`).
+//! The partitioning is fixed at construction: with `n` shards, agent
+//! `e` is owned by shard `e mod n`. The mapping depends only on the
+//! agent id, so it is stable across restarts and arrival orders. A
+//! standalone master has one shard (the classic serial master); a
+//! `SimHarness` builds one shard per engine worker, so the shard slots
+//! fan out over the same pool as the agents' TTI phases.
 //!
 //! Cross-shard interactions never touch another shard's RIB. They are
 //! explicit [`CrossShardMsg`] values posted to the target shard's
@@ -49,33 +51,6 @@ use crate::journal::{mutates_rib, RibJournal};
 use crate::master::{SessionLivenessStats, TaskManagerConfig};
 use crate::rib::Rib;
 use crate::updater::{NotifiedEvent, RibUpdater};
-
-/// How the master partitions agents over RIB shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardSpec {
-    /// One shard (the classic serial master). The default, so existing
-    /// configurations and tests are untouched.
-    #[default]
-    Auto,
-    /// `n` shards; agent `e` is owned by shard `e mod n`. The mapping
-    /// depends only on the agent id, so it is stable across restarts
-    /// and arrival orders.
-    Fixed(usize),
-    /// One shard per agent, allocated when the agent's first `Hello`
-    /// arrives (allocation order is the deterministic hello order).
-    PerAgent,
-}
-
-impl ShardSpec {
-    /// Shards to pre-allocate at master construction.
-    pub fn initial_shards(self) -> usize {
-        match self {
-            ShardSpec::Auto => 1,
-            ShardSpec::Fixed(n) => n.max(1),
-            ShardSpec::PerAgent => 0,
-        }
-    }
-}
 
 /// Delegated state the master replays to a rejoining agent, in original
 /// order (paper §4.3.2: the master, not the agent, owns policy intent).
@@ -255,20 +230,9 @@ pub(crate) fn liveness_event(enb: EnbId, kind: EventKind, now: Tti) -> NotifiedE
     }
 }
 
-/// Whether shard `index` of `n_shards` owns agent `enb` under `spec`.
-/// `owned_hint` is the agent a `PerAgent` shard was allocated for.
-fn owns_enb(
-    spec: ShardSpec,
-    index: usize,
-    n_shards: usize,
-    owned_hint: Option<EnbId>,
-    enb: EnbId,
-) -> bool {
-    match spec {
-        ShardSpec::Auto => true,
-        ShardSpec::Fixed(_) => enb.0 as usize % n_shards.max(1) == index,
-        ShardSpec::PerAgent => owned_hint == Some(enb),
-    }
+/// The shard (of `n_shards`) that owns agent `enb`.
+pub(crate) fn owner_of(enb: EnbId, n_shards: usize) -> usize {
+    enb.0 as usize % n_shards
 }
 
 /// One shard of the partitioned master: a disjoint set of agents with
@@ -277,9 +241,7 @@ fn owns_enb(
 /// master fans shards out on the scoped worker pool.
 pub struct RibShard {
     index: usize,
-    spec: ShardSpec,
     n_shards: usize,
-    owned_hint: Option<EnbId>,
     liveness_timeout: u64,
     pub(crate) rib: Rib,
     pub(crate) updater: RibUpdater,
@@ -297,17 +259,10 @@ pub struct RibShard {
 }
 
 impl RibShard {
-    pub(crate) fn new(
-        index: usize,
-        n_shards: usize,
-        owned_hint: Option<EnbId>,
-        config: &TaskManagerConfig,
-    ) -> Self {
+    pub(crate) fn new(index: usize, n_shards: usize, config: &TaskManagerConfig) -> Self {
         RibShard {
             index,
-            spec: config.shards,
             n_shards,
-            owned_hint,
             liveness_timeout: config.liveness_timeout,
             rib: Rib::new(),
             updater: RibUpdater::new(),
@@ -342,8 +297,7 @@ impl RibShard {
     /// the old serial master loop, restricted to the shard's agents.
     // lint:no-alloc — per-TTI shard slot; steady state must not touch the heap
     pub fn run_rib_slot(&mut self, now: Tti) {
-        let (spec, index, n_shards, owned_hint) =
-            (self.spec, self.index, self.n_shards, self.owned_hint);
+        let (index, n_shards) = (self.index, self.n_shards);
         self.rib.open_write_cycle(now);
         // Pushes happen only on the cold rejoin edge after an outage.
         // lint:allow(hot-alloc) Vec::new never allocates
@@ -396,7 +350,7 @@ impl RibShard {
                     });
                 }
                 if let FlexranMessage::Hello(h) = &msg {
-                    if !owns_enb(spec, index, n_shards, owned_hint, h.enb_id) {
+                    if owner_of(h.enb_id, n_shards) != index {
                         // The session renamed itself to an agent another
                         // shard owns (an agent restart reusing the link
                         // with a new identity): park the hello and let
@@ -569,44 +523,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spec_defaults_to_one_shard() {
-        assert_eq!(ShardSpec::default(), ShardSpec::Auto);
-        assert_eq!(ShardSpec::Auto.initial_shards(), 1);
-        assert_eq!(ShardSpec::Fixed(4).initial_shards(), 4);
-        assert_eq!(ShardSpec::Fixed(0).initial_shards(), 1);
-        assert_eq!(ShardSpec::PerAgent.initial_shards(), 0);
-    }
-
-    #[test]
     fn fixed_ownership_is_id_stable() {
         // enb mod n, independent of arrival order.
-        assert!(owns_enb(ShardSpec::Fixed(2), 1, 2, None, EnbId(1)));
-        assert!(owns_enb(ShardSpec::Fixed(2), 0, 2, None, EnbId(2)));
-        assert!(owns_enb(ShardSpec::Fixed(2), 1, 2, None, EnbId(3)));
-        assert!(!owns_enb(ShardSpec::Fixed(2), 0, 2, None, EnbId(3)));
-        // Auto owns everything; PerAgent owns exactly its hint.
-        assert!(owns_enb(ShardSpec::Auto, 0, 1, None, EnbId(9)));
-        assert!(owns_enb(
-            ShardSpec::PerAgent,
-            3,
-            4,
-            Some(EnbId(9)),
-            EnbId(9)
-        ));
-        assert!(!owns_enb(
-            ShardSpec::PerAgent,
-            3,
-            4,
-            Some(EnbId(9)),
-            EnbId(8)
-        ));
+        assert_eq!(owner_of(EnbId(1), 2), 1);
+        assert_eq!(owner_of(EnbId(2), 2), 0);
+        assert_eq!(owner_of(EnbId(3), 2), 1);
+        // One shard owns everything.
+        assert_eq!(owner_of(EnbId(9), 1), 0);
     }
 
     #[test]
     fn merged_rib_is_fresh_and_complete() {
         let config = TaskManagerConfig::default();
-        let mut a = RibShard::new(0, 2, None, &config);
-        let mut b = RibShard::new(1, 2, None, &config);
+        let mut a = RibShard::new(0, 2, &config);
+        let mut b = RibShard::new(1, 2, &config);
         a.rib.agent_mut(EnbId(2)).connected_at = Tti(5);
         b.rib.agent_mut(EnbId(1)).connected_at = Tti(3);
         let merged = merged_rib(&[a, b]);

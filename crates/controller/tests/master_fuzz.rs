@@ -209,7 +209,7 @@ proptest! {
         // may have opened the epoch earlier via its liveness timeout, so
         // the comparison excludes it.
         let journal = master.journal_bytes().expect("journaling is on");
-        let recovered = MasterController::recover(config, &journal, Tti(n_cycles))
+        let recovered = MasterController::recover(config, &journal, Tti(n_cycles), 1)
             .expect("recovery never fails on a journal the master itself wrote");
         let rec_rib = recovered.merged_rib();
         prop_assert_eq!(rec_rib.n_agents(), live_rib.n_agents());

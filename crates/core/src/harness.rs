@@ -58,16 +58,25 @@ pub struct SimConfig {
     pub downlink: LinkConfig,
     pub master: TaskManagerConfig,
     pub seed: u64,
-    /// Worker threads for the per-agent TTI phases. `None` (the
-    /// default) runs every agent serially on the calling thread;
-    /// `Some(n)` fans phase A and phase B out over `n` scoped worker
-    /// threads. Observables are bit-identical either way — see
-    /// DESIGN.md §"Simulation engine" for the determinism contract.
+    /// Worker threads of the TTI engine — the one parallelism setting.
+    /// `None` (the default) runs everything serially on the calling
+    /// thread with a one-shard master; `Some(n)` partitions the master
+    /// into `n` RIB shards and fans the shard slots, phase A and phase B
+    /// out over `n` scoped worker threads. Observables are bit-identical
+    /// either way — see DESIGN.md §"Simulation engine" for the
+    /// determinism contract.
     pub workers: Option<usize>,
     /// Whole-step wall-time deadline for the TTI budget monitor
     /// (nanoseconds; LTE subframe = 1 ms). Observability only — the
     /// monitor never feeds wall time back into simulation state.
     pub tti_budget_ns: u64,
+}
+
+impl SimConfig {
+    /// Engine worker count; the master has one RIB shard per worker.
+    fn worker_count(&self) -> usize {
+        self.workers.unwrap_or(1).max(1)
+    }
 }
 
 impl Default for SimConfig {
@@ -90,8 +99,8 @@ pub struct PhaseTimings {
     /// Number of `step` calls accumulated.
     pub steps: u64,
     /// Master cycle: serial begin/finish around the fanned-out
-    /// per-shard RIB slots (parallel when `workers` is set and the
-    /// master has more than one shard).
+    /// per-shard RIB slots (one shard per worker, so parallel when
+    /// `workers` is set).
     pub serial_front_ns: u64,
     /// Phase A across all agents, including per-agent traffic and
     /// measurement injection (parallel when `workers` is set).
@@ -113,101 +122,59 @@ struct PhaseBOut {
     handovers: Vec<flexran_agent::HandoverRequest>,
 }
 
-/// Run `f(i, &mut items[i])` for every item, writing the result into
-/// `out[i]`. With `workers > 1` the index space is split into
-/// contiguous chunks, one scoped thread per chunk; each thread touches
-/// a disjoint `&mut` slice of items and outputs, so the only
-/// synchronization is the scope join and the index-addressed outputs
-/// give callers a deterministic merge order.
-fn fan_out<T, R, F>(items: &mut [T], out: &mut Vec<R>, workers: usize, f: F)
+/// Run `f(i, item)` for every item in index order, writing the result
+/// into `out[i]`. Items are whatever the caller iterates: `&mut` agents
+/// or shards, or (agent, UE bucket) pairs zipped from two slices. With
+/// `workers > 1` the index space is split into contiguous chunks: a
+/// scoped thread per chunk, except the last, which the calling thread
+/// runs itself. Each thread owns its chunk's items and a disjoint slice
+/// of outputs, so the only synchronization is the scope join and the
+/// index-addressed outputs give callers a deterministic merge order.
+fn fan_out<I, R, F>(items: I, out: &mut Vec<R>, workers: usize, f: F)
 where
-    T: Send,
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator,
+    I::Item: Send,
     R: Send + Default,
-    F: Fn(usize, &mut T) -> R + Sync,
+    F: Fn(usize, I::Item) -> R + Sync,
 {
+    let mut items = items.into_iter();
     out.clear();
     out.resize_with(items.len(), R::default);
-    let workers = workers.clamp(1, items.len().max(1));
+    let workers = workers.clamp(1, out.len().max(1));
     if workers <= 1 {
-        for (i, (item, slot)) in items.iter_mut().zip(out.iter_mut()).enumerate() {
+        for (i, (item, slot)) in items.zip(out.iter_mut()).enumerate() {
             // The closure body is analyzed at its definition site
             // (closures-as-edges), not through this `Fn`. lint:alloc-free-callee
             *slot = f(i, item);
         }
         return;
     }
-    let chunk = items.len().div_ceil(workers);
-    // Scoped worker spawn: thread stacks are the worker pool's cost, not
-    // RIB-path heap traffic; the allocgate steady-state run pins
-    // workers=1 where this branch never executes. lint:allow(alloc-reach)
+    let chunk = out.len().div_ceil(workers);
+    // Scoped worker spawn: the per-worker item batches and thread stacks
+    // are the worker pool's cost, not RIB-path heap traffic; the
+    // allocgate steady-state run pins workers=1 where this branch never
+    // executes. lint:allow(alloc-reach)
     std::thread::scope(|s| {
         let f = &f;
-        for (ci, (item_chunk, out_chunk)) in items
-            .chunks_mut(chunk)
-            .zip(out.chunks_mut(chunk))
-            .enumerate()
-        {
+        let mut out_chunks = out.chunks_mut(chunk).enumerate();
+        let last = out_chunks.next_back();
+        for (ci, out_chunk) in out_chunks {
+            // lint:allow(alloc-reach) per-worker item batch, see scope above
+            let batch: Vec<I::Item> = items.by_ref().take(out_chunk.len()).collect();
             // lint:allow(alloc-reach) per-worker spawn, see scope above
             s.spawn(move || {
-                for (j, (item, slot)) in item_chunk.iter_mut().zip(out_chunk.iter_mut()).enumerate()
-                {
+                for (j, (item, slot)) in batch.into_iter().zip(out_chunk.iter_mut()).enumerate() {
                     // lint:alloc-free-callee closure analyzed at definition site
                     *slot = f(ci * chunk + j, item);
                 }
             });
         }
-    });
-}
-
-/// Two-slice variant of [`fan_out`] for phases that need a disjoint
-/// `&mut` pair per index (an agent and its UE bucket). Chunking and
-/// merge order are identical to `fan_out`, so serial and parallel runs
-/// stay bit-identical.
-fn fan_out2<A, B, R, F>(a: &mut [A], b: &mut [B], out: &mut Vec<R>, workers: usize, f: F)
-where
-    A: Send,
-    B: Send,
-    R: Send + Default,
-    F: Fn(usize, &mut A, &mut B) -> R + Sync,
-{
-    assert_eq!(a.len(), b.len(), "fan_out2 over unequal slices");
-    out.clear();
-    out.resize_with(a.len(), R::default);
-    let workers = workers.clamp(1, a.len().max(1));
-    if workers <= 1 {
-        for (i, ((ai, bi), slot)) in a
-            .iter_mut()
-            .zip(b.iter_mut())
-            .zip(out.iter_mut())
-            .enumerate()
-        {
-            // lint:alloc-free-callee closure analyzed at definition site
-            *slot = f(i, ai, bi);
-        }
-        return;
-    }
-    let chunk = a.len().div_ceil(workers);
-    // lint:allow(alloc-reach) worker fan-out — same rationale as fan_out
-    std::thread::scope(|s| {
-        let f = &f;
-        for (ci, ((ac, bc), oc)) in a
-            .chunks_mut(chunk)
-            .zip(b.chunks_mut(chunk))
-            .zip(out.chunks_mut(chunk))
-            .enumerate()
-        {
-            // lint:allow(alloc-reach) per-worker spawn, see scope above
-            s.spawn(move || {
-                for (j, ((ai, bi), slot)) in ac
-                    .iter_mut()
-                    .zip(bc.iter_mut())
-                    .zip(oc.iter_mut())
-                    .enumerate()
-                {
-                    // lint:alloc-free-callee closure analyzed at definition site
-                    *slot = f(ci * chunk + j, ai, bi);
-                }
-            });
+        if let Some((ci, out_chunk)) = last {
+            for (j, (item, slot)) in items.by_ref().zip(out_chunk.iter_mut()).enumerate() {
+                // lint:alloc-free-callee closure analyzed at definition site
+                *slot = f(ci * chunk + j, item);
+            }
         }
     });
 }
@@ -385,7 +352,7 @@ impl SimHarness {
     pub fn with_radio(config: SimConfig, radio: RadioEnvironment) -> Self {
         SimHarness {
             clock: Arc::new(VirtualClock::new()),
-            master: MasterController::new(config.master),
+            master: MasterController::with_shards(config.master, config.worker_count()),
             agents: Vec::new(),
             rnti_maps: Vec::new(),
             radio,
@@ -539,9 +506,10 @@ impl SimHarness {
         if !self.master_down {
             return Err(FlexError::Liveness("master is not down".into()));
         }
+        let (config, shards) = (self.config.master, self.config.worker_count());
         let mut master = match self.parked_journal.take() {
-            Some(journal) => MasterController::recover(self.config.master, &journal, self.now)?,
-            None => MasterController::new(self.config.master),
+            Some(journal) => MasterController::recover(config, &journal, self.now, shards)?,
+            None => MasterController::with_shards(config, shards),
         };
         for t in self.parked_transports.drain(..) {
             master.add_agent(t);
@@ -797,18 +765,28 @@ impl SimHarness {
         //    (agent-index-ordered event merge, apps slot, cross-shard
         //    mailbox). A crashed master runs nothing, and its dead
         //    sockets swallow whatever the agents send.
-        let workers = self.config.workers.unwrap_or(1).max(1);
+        let workers = self.config.worker_count();
+        // Output sink of the fan-outs that return nothing.
+        // lint:allow(hot-alloc) Vec<()> of ZSTs can never allocate
+        let mut unit: Vec<()> = Vec::new();
         if self.master_down {
             for t in &mut self.parked_transports {
                 let _ = t.purge_inbound();
             }
         } else {
             self.master.begin_cycle(now);
-            // lint:allow(hot-alloc) Vec<()> of ZSTs can never allocate
-            let mut unit: Vec<()> = Vec::new();
-            fan_out(self.master.shards_mut(), &mut unit, workers, |_, shard| {
-                shard.run_rib_slot(now);
-            });
+            // At most one busy shard per agent: fewer agents than
+            // workers leaves shards empty, and an empty shard is not
+            // worth a thread.
+            let shard_workers = workers.min(self.agents.len());
+            fan_out(
+                self.master.shards_mut(),
+                &mut unit,
+                shard_workers,
+                |_, shard| {
+                    shard.run_rib_slot(now);
+                },
+            );
             self.master.finish_cycle(now);
         }
 
@@ -832,24 +810,17 @@ impl SimHarness {
             }
             let radio = &self.radio;
             let maps = &self.rnti_maps;
-            // lint:allow(hot-alloc) Vec<()> of ZSTs can never allocate
-            let mut unit: Vec<()> = Vec::new();
-            fan_out2(
-                &mut self.agents,
-                &mut self.ue_buckets,
-                &mut unit,
-                workers,
-                |i, agent, ues| {
-                    for (ue, entry) in ues.iter_mut() {
-                        drive_ue_traffic(agent, radio, *ue, entry, now);
-                    }
-                    let mut phy = PhyAdapter {
-                        radio,
-                        rnti_map: &maps[i],
-                    };
-                    agent.phase_a(now, &mut phy);
-                },
-            );
+            let pairs = self.agents.iter_mut().zip(self.ue_buckets.iter_mut());
+            fan_out(pairs, &mut unit, workers, |i, (agent, ues)| {
+                for (ue, entry) in ues.iter_mut() {
+                    drive_ue_traffic(agent, radio, *ue, entry, now);
+                }
+                let mut phy = PhyAdapter {
+                    radio,
+                    rnti_map: &maps[i],
+                };
+                agent.phase_a(now, &mut phy);
+            });
         }
         // Profiling only, as above. lint:allow(wall-clock)
         let t_a = std::time::Instant::now();

@@ -64,7 +64,7 @@ pub mod prelude {
         AgentConfig, FailoverState, FlexranAgent, LivenessConfig, PolicyDoc, VsfRegistry,
     };
     pub use flexran_controller::{
-        App, ControlHandle, MasterController, Northbound, RibView, SessionLivenessStats, ShardSpec,
+        App, ControlHandle, MasterController, Northbound, RibView, SessionLivenessStats,
         TaskManagerConfig,
     };
     pub use flexran_phy::link_adaptation::{Cqi, Mcs};

@@ -12,7 +12,7 @@
 //! equivalent to `SimHarness::new(SimConfig::default())`.
 
 use flexran_agent::{AgentConfig, LivenessConfig};
-use flexran_controller::{ShardSpec, TaskManagerConfig};
+use flexran_controller::TaskManagerConfig;
 use flexran_proto::transport::BackoffConfig;
 use flexran_sim::link::LinkConfig;
 
@@ -32,7 +32,6 @@ pub struct Platform {
     downlink: LinkConfig,
     seed: u64,
     workers: Option<usize>,
-    shards: ShardSpec,
 }
 
 impl Default for Platform {
@@ -55,7 +54,6 @@ impl Platform {
             downlink: LinkConfig::ideal(),
             seed: 1,
             workers: None,
-            shards: ShardSpec::Auto,
         }
     }
 
@@ -117,19 +115,13 @@ impl Platform {
         self
     }
 
-    /// Worker threads for the harness's per-agent TTI phases. `None`
-    /// (default) is fully serial; results are bit-identical either way.
+    /// Worker threads of the harness's TTI engine, and with them the
+    /// master's RIB shard count (one shard per worker). `None` (default)
+    /// is fully serial with one shard; results are bit-identical either
+    /// way. Apps never see shard boundaries; the northbound facade
+    /// routes by agent id.
     pub fn workers(mut self, workers: Option<usize>) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Control-plane sharding: how agents are partitioned across RIB
-    /// shards ([`ShardSpec::Auto`], the default, keeps the single-shard
-    /// behaviour every pre-shard configuration had). Apps never see
-    /// shard boundaries; the northbound facade routes by agent id.
-    pub fn shards(mut self, shards: ShardSpec) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -137,7 +129,6 @@ impl Platform {
     pub fn build_master_config(&self) -> TaskManagerConfig {
         TaskManagerConfig {
             liveness_timeout: self.liveness_timeout,
-            shards: self.shards,
             ..self.master
         }
     }
@@ -187,18 +178,19 @@ mod tests {
         assert!(!agent.liveness.enabled());
         assert_eq!(agent.liveness.heartbeat_period, 0);
         assert_eq!(p.build_master_config().liveness_timeout, 0);
-        assert_eq!(p.build_master_config().shards.initial_shards(), 1);
+        assert_eq!(p.build_sim().master().n_shards(), 1);
     }
 
     #[test]
-    fn shard_knob_flows_into_the_master_config() {
-        let p = Platform::new().shards(ShardSpec::Fixed(4));
-        assert!(matches!(
-            p.build_master_config().shards,
-            ShardSpec::Fixed(4)
-        ));
-        let sim = Platform::new().shards(ShardSpec::Fixed(2)).build_sim();
-        assert_eq!(sim.master().n_shards(), 2);
+    fn workers_set_the_master_shard_count() {
+        for (workers, shards) in [(None, 1), (Some(2), 2), (Some(4), 4)] {
+            let mut sim = Platform::new().workers(workers).build_sim();
+            assert_eq!(sim.master().n_shards(), shards, "workers={workers:?}");
+            // A restarted master keeps the count.
+            sim.kill_master();
+            sim.restart_master().unwrap();
+            assert_eq!(sim.master().n_shards(), shards, "workers={workers:?}");
+        }
     }
 
     #[test]

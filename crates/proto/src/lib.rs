@@ -31,6 +31,12 @@ pub use messages::{
     ReportConfig, ReportFlags, ReportType, ResyncRequest, StatsReply, StatsRequest,
     SubframeTrigger, UeReport, UlSchedulingCommand, VsfArtifact, VsfPush, PROTOCOL_VERSION,
 };
+/// The trusted authority's signing key for VSF pushes and config
+/// bundles (in a real deployment: a private key whose public half is
+/// provisioned to agents; the shared constant is the model's stand-in
+/// for PKI).
+pub const SIGNING_KEY: u64 = 0x46_4C_45_58_52_41_4E_21; // "FLEXRAN!"
+
 pub use transport::{
     channel_pair, BackoffConfig, ChannelTransport, ReconnectingTcpTransport, TcpTransport,
     Transport,

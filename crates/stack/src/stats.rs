@@ -6,6 +6,7 @@
 //! the RIB at the master controller stores per UE and per cell.
 
 use flexran_phy::link_adaptation::Cqi;
+use flexran_types::hash::Fnv1a;
 use flexran_types::ids::{Rnti, SliceId, UeId};
 use flexran_types::time::Tti;
 use flexran_types::units::Bytes;
@@ -44,6 +45,23 @@ pub struct UeStats {
     pub hol_delay_ms: u64,
     /// Activated secondary component carriers (carrier aggregation).
     pub active_scells: Vec<u16>,
+}
+
+/// Fold one UE's end-state observables into an end-state digest: DL
+/// and UL delivered bits, DL queue, CQI and HARQ transmissions, each as
+/// a little-endian `u64`; a detached UE (`None`) folds `u64::MAX`. The
+/// per-UE step of the `experiments scale`, campaign sweep and chaos
+/// digests.
+pub fn fold_ue_digest(h: &mut Fnv1a, stats: Option<&UeStats>) {
+    let Some(s) = stats else {
+        h.write_u64(u64::MAX);
+        return;
+    };
+    h.write_u64(s.dl_delivered_bits);
+    h.write_u64(s.ul_delivered_bits);
+    h.write_u64(s.dl_queue_bytes.as_u64());
+    h.write_u64(s.cqi.0 as u64);
+    h.write_u64(s.harq_tx + s.harq_retx);
 }
 
 /// Per-cell statistics snapshot.

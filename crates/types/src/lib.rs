@@ -14,6 +14,7 @@
 pub mod budget;
 pub mod config;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod time;
 pub mod units;

@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
 # Record the platform's perf baseline.
 #
-# Runs the `scale` experiment (serial vs worker-pool vs sharded-master
-# TTI engine, pinned seed, full durations) plus the criterion
+# Runs the `scale` experiment (serial vs worker-pool TTI engine, one
+# master shard per worker, pinned seed, full durations) plus the criterion
 # micro-benchmarks, and snapshots the machine-readable artifacts to the
 # repository root:
 #
 #   BENCH_scale.json      — TTIs/s, per-phase wall-time, allocs/TTI,
 #                           TTI latency percentiles (p50/p95/p99/worst)
 #                           and max-cells-at-budget from the deadline
-#                           monitor, multi-worker and per-agent-shard
-#                           series, steady-state zero-alloc probes,
+#                           monitor, serial and multi-worker series,
+#                           steady-state zero-alloc probes,
 #                           scheduler zero-alloc probe, determinism check
 #
 # The experiment sizes its worker pool from the machine's available
@@ -55,7 +55,7 @@ done
 CORES=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 echo "bench host: ${CORES} core(s) available"
 if [[ "$CORES" -le 1 ]]; then
-  echo "WARNING: single-CPU host — worker/shard series will run on one" \
+  echo "WARNING: single-CPU host — the worker-pool series will run on one" \
        "thread; record multi-core numbers on a host with >=2 cores."
 fi
 

@@ -38,10 +38,11 @@ echo "==> rollout smoke gate (8 agents, 1 canary, forced regression -> rollback,
 cargo run --quiet --release -p flexran-bench --bin experiments -- \
     rollout --out target/check-rollout
 
-echo "==> chaos campaign gate (8 seeds x 2000 TTIs, unsharded + 4-shard, parallel)"
+echo "==> chaos campaign gate (8 seeds x 2000 TTIs, 1 and 4 engine workers, parallel)"
 # One campaign covers what used to be two sequential experiment runs:
-# every seed under both the single-shard and the 4-shard master, fanned
-# over the worker pool, failing on any violation (exit 1 pins each one).
+# every seed on the serial engine and on the 4-worker engine (whose
+# master has 4 RIB shards), fanned over the campaign pool, failing on
+# any violation (exit 1 pins each one).
 cargo run --quiet --release -p flexran-campaign -- \
     chaos --seeds 8 --ttis 2000 --configs 1,4 --out target/check-chaos
 

@@ -1,16 +1,17 @@
 //! Determinism contract of the parallel TTI engine and the sharded
 //! control plane (DESIGN.md §"Simulation engine", §"Sharded control
 //! plane"): running the same scenario serially (`workers: None`, one
-//! shard) and fanned out over any worker pool × shard-spec combination
-//! must produce bit-identical observables — the per-TTI event stream,
-//! the end-state UE statistics, and the master's (merged) RIB — over a
-//! long run that exercises mobility handovers crossing shard
-//! boundaries and control-link fault injection.
+//! shard) and fanned out over any worker pool (whose master has one RIB
+//! shard per worker) must produce bit-identical observables — the
+//! per-TTI event stream, the end-state UE statistics, and the master's
+//! (merged) RIB — over a long run that exercises mobility handovers
+//! crossing shard boundaries, control-link fault injection and, in its
+//! loaded input, 1 ms full-stats reporting.
 
 use std::collections::BTreeMap;
 
 use flexran::agent::AgentConfig;
-use flexran::apps::MobilityManagerApp;
+use flexran::apps::{MobilityManagerApp, MonitoringApp};
 use flexran::harness::{SimConfig, SimHarness, UeRadioSpec};
 use flexran::phy::geometry::{Environment, PathLossModel, Position, TxSite};
 use flexran::phy::mobility::LinearMotion;
@@ -19,25 +20,22 @@ use flexran::sim::link::{FaultConfig, FaultHandle, LinkConfig};
 use flexran::sim::radio::RadioEnvironment;
 use flexran::sim::traffic::{CbrSource, FullBufferSource};
 use flexran::stack::enb::EnbParams;
+use flexran::stack::stats::fold_ue_digest;
+use flexran::types::hash::Fnv1a;
 use flexran::types::units::Dbm;
 
 const TTIS: u64 = 3_500;
 const N_ENBS: usize = 3;
 const UES_PER_ENB: usize = 6;
 
-fn fnv_str(h: &mut u64, s: &str) {
-    for b in s.as_bytes() {
-        *h ^= *b as u64;
-        *h = h.wrapping_mul(0x100000001b3);
-    }
-}
-
 /// The scenario: three macro sites in a row, mobile UEs driving across
 /// the cell borders (measurement-report-driven handovers via the
 /// master's mobility manager), stationary fading UEs with mixed
 /// traffic, and one eNodeB behind a lossy, partition-scripted control
-/// link (liveness failover + recovery).
-fn build(workers: Option<usize>, shards: ShardSpec) -> (SimHarness, Vec<UeId>) {
+/// link (liveness failover + recovery). The `loaded` input adds the
+/// Figs. 7–8 regime on top: every agent reports full statistics every
+/// 1 ms (`MonitoringApp::new(1)`), so each shard's RIB slot is busy.
+fn build(workers: Option<usize>, loaded: bool) -> (SimHarness, Vec<UeId>) {
     let mut env = Environment::new(10_000_000);
     let sites: Vec<usize> = (0..N_ENBS)
         .map(|i| {
@@ -52,10 +50,6 @@ fn build(workers: Option<usize>, shards: ShardSpec) -> (SimHarness, Vec<UeId>) {
         SimConfig {
             seed: 11,
             workers,
-            master: TaskManagerConfig {
-                shards,
-                ..TaskManagerConfig::default()
-            },
             ..SimConfig::default()
         },
         RadioEnvironment::with_geometry(env),
@@ -94,6 +88,10 @@ fn build(workers: Option<usize>, shards: ShardSpec) -> (SimHarness, Vec<UeId>) {
     }
     sim.master_mut()
         .register_app(Box::new(MobilityManagerApp::new(site_map)));
+    if loaded {
+        sim.master_mut()
+            .register_app(Box::new(MonitoringApp::new(1)));
+    }
 
     let mut ues = Vec::new();
     for (i, enb) in enbs.iter().enumerate() {
@@ -148,9 +146,9 @@ fn build(workers: Option<usize>, shards: ShardSpec) -> (SimHarness, Vec<UeId>) {
 }
 
 /// Run the scenario and digest every observable along the way.
-fn run(workers: Option<usize>, shards: ShardSpec) -> (u64, u64, u64) {
-    let (mut sim, ues) = build(workers, shards);
-    let mut events_digest = 0xcbf29ce484222325u64;
+fn run(workers: Option<usize>, loaded: bool) -> (u64, u64, u64) {
+    let (mut sim, ues) = build(workers, loaded);
+    let mut events_digest = Fnv1a::new();
     let mut scratch = String::new();
     for _ in 0..TTIS {
         sim.step();
@@ -158,10 +156,10 @@ fn run(workers: Option<usize>, shards: ShardSpec) -> (u64, u64, u64) {
             scratch.clear();
             use std::fmt::Write as _;
             let _ = write!(scratch, "{enb:?}|{ev:?}");
-            fnv_str(&mut events_digest, &scratch);
+            events_digest.write(scratch.as_bytes());
         }
     }
-    let mut stats_digest = 0xcbf29ce484222325u64;
+    let mut stats_digest = Fnv1a::new();
     for ue in &ues {
         scratch.clear();
         use std::fmt::Write as _;
@@ -171,59 +169,40 @@ fn run(workers: Option<usize>, shards: ShardSpec) -> (u64, u64, u64) {
             sim.serving_enb(*ue),
             sim.ue_stats(*ue)
         );
-        fnv_str(&mut stats_digest, &scratch);
+        stats_digest.write(scratch.as_bytes());
     }
-    let mut rib_digest = 0xcbf29ce484222325u64;
-    fnv_str(&mut rib_digest, &format!("{:?}", sim.master().merged_rib()));
-    (events_digest, stats_digest, rib_digest)
+    let mut rib_digest = Fnv1a::new();
+    rib_digest.write(format!("{:?}", sim.master().merged_rib()).as_bytes());
+    (
+        events_digest.finish(),
+        stats_digest.finish(),
+        rib_digest.finish(),
+    )
 }
 
 #[test]
 fn parallel_engine_is_bit_identical_to_serial() {
-    let serial = run(None, ShardSpec::Auto);
-    for workers in [2, 4] {
-        let parallel = run(Some(workers), ShardSpec::Auto);
-        assert_eq!(
-            serial.0, parallel.0,
-            "event stream diverged at workers={workers}"
-        );
-        assert_eq!(
-            serial.1, parallel.1,
-            "UE stats diverged at workers={workers}"
-        );
-        assert_eq!(serial.2, parallel.2, "RIB diverged at workers={workers}");
-    }
-}
-
-#[test]
-fn sharded_control_plane_is_bit_identical_to_one_shard() {
-    // The shard matrix vs. the 1-shard serial baseline: every worker
-    // count × shard spec must reproduce the exact same observables,
-    // including runs where the travellers' handovers cross a shard
-    // boundary (Fixed(2) puts EnbId 1 and 3 on shard 1 and EnbId 2 on
-    // shard 0, so every inter-site handover is cross-shard).
-    let baseline = run(None, ShardSpec::Auto);
-    let matrix = [
-        (None, ShardSpec::Fixed(2)),
-        (Some(2), ShardSpec::Fixed(2)),
-        (Some(4), ShardSpec::Fixed(4)),
-        (Some(2), ShardSpec::PerAgent),
-        (Some(4), ShardSpec::PerAgent),
-    ];
-    for (workers, shards) in matrix {
-        let sharded = run(workers, shards);
-        assert_eq!(
-            baseline.0, sharded.0,
-            "event stream diverged at workers={workers:?} shards={shards:?}"
-        );
-        assert_eq!(
-            baseline.1, sharded.1,
-            "UE stats diverged at workers={workers:?} shards={shards:?}"
-        );
-        assert_eq!(
-            baseline.2, sharded.2,
-            "RIB diverged at workers={workers:?} shards={shards:?}"
-        );
+    // Every worker count (and so every shard count) must reproduce the
+    // serial one-shard observables, on both inputs. At 2 workers EnbId
+    // 1 and 3 live on shard 1 and EnbId 2 on shard 0, so every
+    // inter-site handover is cross-shard.
+    for loaded in [false, true] {
+        let serial = run(None, loaded);
+        for workers in [2, 4] {
+            let parallel = run(Some(workers), loaded);
+            assert_eq!(
+                serial.0, parallel.0,
+                "event stream diverged at workers={workers} loaded={loaded}"
+            );
+            assert_eq!(
+                serial.1, parallel.1,
+                "UE stats diverged at workers={workers} loaded={loaded}"
+            );
+            assert_eq!(
+                serial.2, parallel.2,
+                "RIB diverged at workers={workers} loaded={loaded}"
+            );
+        }
     }
 }
 
@@ -233,7 +212,7 @@ fn sharded_control_plane_is_bit_identical_to_one_shard() {
 /// RIB was flattened from B-tree nodes onto index-addressed slabs. This
 /// pins the slab layout to the historical observable stream: any layout
 /// change that reorders iteration or perturbs state is caught here, for
-/// every worker count × shard spec.
+/// every worker (and so shard) count.
 #[test]
 fn slab_rib_digests_match_pre_flattening_goldens() {
     // Golden recorded pre-flattening (BENCH_scale.json, enbs=1,
@@ -243,21 +222,10 @@ fn slab_rib_digests_match_pre_flattening_goldens() {
     const SCALE_TTIS: u64 = 2_100;
     const N_UES: u32 = 16;
 
-    fn fnv_u64(h: &mut u64, v: u64) {
-        for b in v.to_le_bytes() {
-            *h ^= b as u64;
-            *h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-
-    let run_scale_point = |workers: Option<usize>, shards: ShardSpec| -> String {
+    let run_scale_point = |workers: Option<usize>| -> String {
         let mut sim = SimHarness::new(SimConfig {
             seed: SCALE_SEED,
             workers,
-            master: TaskManagerConfig {
-                shards,
-                ..TaskManagerConfig::default()
-            },
             ..SimConfig::default()
         });
         let enb = sim.add_enb(EnbConfig::single_cell(EnbId(1)), AgentConfig::default());
@@ -272,48 +240,37 @@ fn slab_rib_digests_match_pre_flattening_goldens() {
             sim.set_dl_traffic(ue, Box::new(FullBufferSource::default()));
         }
         sim.run(SCALE_TTIS);
-        let mut h = 0xcbf29ce484222325u64;
+        let mut h = Fnv1a::new();
         for id in 1..=N_UES {
             let s = sim.ue_stats(UeId(id)).expect("UE exists");
-            fnv_u64(&mut h, s.dl_delivered_bits);
-            fnv_u64(&mut h, s.ul_delivered_bits);
-            fnv_u64(&mut h, s.dl_queue_bytes.as_u64());
-            fnv_u64(&mut h, s.cqi.0 as u64);
-            fnv_u64(&mut h, s.harq_tx + s.harq_retx);
+            fold_ue_digest(&mut h, Some(&s));
         }
-        format!("{h:016x}")
+        format!("{:016x}", h.finish())
     };
 
     for workers in [None, Some(2), Some(4)] {
-        for shards in [
-            ShardSpec::Fixed(1),
-            ShardSpec::Fixed(2),
-            ShardSpec::Fixed(4),
-            ShardSpec::PerAgent,
-        ] {
-            assert_eq!(
-                run_scale_point(workers, shards),
-                GOLDEN_1X16,
-                "slab-RIB digest diverged from the pre-flattening golden at \
-                 workers={workers:?} shards={shards:?}"
-            );
-        }
+        assert_eq!(
+            run_scale_point(workers),
+            GOLDEN_1X16,
+            "slab-RIB digest diverged from the pre-flattening golden at workers={workers:?}"
+        );
     }
 }
 
 #[test]
 fn sharded_scenario_exercises_cross_shard_handovers() {
-    // The matrix above is only meaningful if handovers actually cross
-    // shard boundaries: under Fixed(2) the mobility manager's commands
-    // route between the two shards through the cross-shard mailbox.
-    let (mut sim, _ues) = build(Some(2), ShardSpec::Fixed(2));
+    // The workers loop above is only meaningful if handovers actually
+    // cross shard boundaries: with 2 workers (2 shards) the mobility
+    // manager's commands route between the shards through the
+    // cross-shard mailbox.
+    let (mut sim, _ues) = build(Some(2), false);
     for _ in 0..TTIS {
         sim.step();
     }
     assert_eq!(sim.master().n_shards(), 2);
     assert!(
         sim.master().cross_shard_handovers() > 0,
-        "no handover ever crossed a shard boundary — the matrix is too tame"
+        "no handover ever crossed a shard boundary — the scenario is too tame"
     );
 }
 
@@ -321,7 +278,7 @@ fn sharded_scenario_exercises_cross_shard_handovers() {
 fn scenario_actually_exercises_handovers_and_faults() {
     // The determinism assertion above is only meaningful if the scenario
     // produces the hard cases: cross-agent handovers and failover events.
-    let (mut sim, ues) = build(Some(2), ShardSpec::Auto);
+    let (mut sim, ues) = build(Some(2), false);
     let mut saw_handover = false;
     let start_serving: Vec<_> = ues.iter().map(|u| sim.serving_enb(*u)).collect();
     for _ in 0..TTIS {

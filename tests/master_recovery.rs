@@ -148,34 +148,13 @@ fn master_crash_recovery_resyncs_the_rib() {
 
 #[test]
 fn sharded_master_recovers_from_per_shard_journal_segments() {
-    // Same crash/restart arc as above, but with the control plane split
-    // across two RIB shards: each shard journals its own segment, the
-    // crash parks the concatenated container, and recovery replays every
-    // segment back into the owning shards.
-    let cfg = SimConfig {
-        master: TaskManagerConfig {
-            shards: ShardSpec::Fixed(2),
-            ..journaled_master()
-        },
-        ..SimConfig::default()
-    };
-    let mut sim = SimHarness::new(cfg);
-    let mut ues = Vec::new();
-    for i in 1..=3u32 {
-        let enb = sim.add_enb(EnbConfig::single_cell(EnbId(i)), liveness_agent_config());
-        for _ in 0..2 {
-            let ue = sim.add_ue(enb, CellId(0), SliceId::MNO, 0, UeRadioSpec::FixedCqi(12));
-            sim.set_dl_traffic(ue, Box::new(CbrSource::new(BitRate::from_mbps(1))));
-            ues.push(ue);
-        }
-    }
-    sim.run(5);
-    for i in 1..=3u32 {
-        subscribe_all(&mut sim, EnbId(i), 10);
-    }
-    sim.run(200);
+    // Same crash/restart arc as above, but on a 2-worker engine, so the
+    // control plane is split across two RIB shards: each shard journals
+    // its own segment, the crash parks the concatenated container, and
+    // recovery replays every segment back into the owning shards.
+    let mut sim = three_agent_sim(Some(2));
     assert_eq!(sim.master().n_shards(), 2);
-    // Fixed(2) ownership: EnbId 1 and 3 on shard 1, EnbId 2 on shard 0.
+    // Ownership is id mod 2: EnbId 1 and 3 on shard 1, EnbId 2 on shard 0.
     assert_eq!(sim.master().shard_of(EnbId(1)), Some(1));
     assert_eq!(sim.master().shard_of(EnbId(2)), Some(0));
     assert_eq!(sim.master().shard_of(EnbId(3)), Some(1));
@@ -214,6 +193,61 @@ fn sharded_master_recovers_from_per_shard_journal_segments() {
         3,
         "all three sessions rejoined exactly once"
     );
+}
+
+/// Three journaled agents with two UEs each and 10 ms full-stats
+/// subscriptions, run for 205 TTIs on a `workers` engine.
+fn three_agent_sim(workers: Option<usize>) -> SimHarness {
+    let mut sim = SimHarness::new(SimConfig {
+        master: journaled_master(),
+        workers,
+        ..SimConfig::default()
+    });
+    for i in 1..=3u32 {
+        let enb = sim.add_enb(EnbConfig::single_cell(EnbId(i)), liveness_agent_config());
+        for _ in 0..2 {
+            let ue = sim.add_ue(enb, CellId(0), SliceId::MNO, 0, UeRadioSpec::FixedCqi(12));
+            sim.set_dl_traffic(ue, Box::new(CbrSource::new(BitRate::from_mbps(1))));
+        }
+    }
+    sim.run(5);
+    for i in 1..=3u32 {
+        subscribe_all(&mut sim, EnbId(i), 10);
+    }
+    sim.run(200);
+    sim
+}
+
+#[test]
+fn journal_recovers_across_shard_counts() {
+    // Journal records route by agent id, so a journal written by a
+    // 2-shard master recovers into 1 shard and vice versa: a harness
+    // restarted with a different worker count keeps its RIB.
+    for (write_workers, recover_shards) in [(Some(2), 1), (None, 2)] {
+        let sim = three_agent_sim(write_workers);
+        let pre_crash = sim.master().merged_rib();
+        let journal = sim.master().journal_bytes().expect("journaling on");
+        let recovered =
+            MasterController::recover(journaled_master(), &journal, sim.now(), recover_shards)
+                .expect("recovery across shard counts");
+        assert_eq!(recovered.n_shards(), recover_shards);
+        for i in 1..=3u32 {
+            assert_eq!(
+                recovered.shard_of(EnbId(i)),
+                Some(i as usize % recover_shards),
+                "records land in the owner shard"
+            );
+        }
+        let mut rib = recovered.merged_rib();
+        for i in 1..=3u32 {
+            assert!(rib.agent(EnbId(i)).unwrap().is_stale());
+            rib.agent_mut(EnbId(i)).mark_fresh();
+        }
+        assert_eq!(
+            rib, pre_crash,
+            "written at workers={write_workers:?}, recovered into {recover_shards} shard(s)"
+        );
+    }
 }
 
 #[test]
