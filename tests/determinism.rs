@@ -180,30 +180,39 @@ fn run(workers: Option<usize>, loaded: bool) -> (u64, u64, u64) {
     )
 }
 
+/// Every worker count (and so every shard count) must reproduce the
+/// serial one-shard observables of the given input. At 2 workers EnbId
+/// 1 and 3 live on shard 1 and EnbId 2 on shard 0, so every inter-site
+/// handover is cross-shard.
+fn assert_workers_match_serial(loaded: bool) {
+    let serial = run(None, loaded);
+    for workers in [2, 4] {
+        let parallel = run(Some(workers), loaded);
+        assert_eq!(
+            serial.0, parallel.0,
+            "event stream diverged at workers={workers} loaded={loaded}"
+        );
+        assert_eq!(
+            serial.1, parallel.1,
+            "UE stats diverged at workers={workers} loaded={loaded}"
+        );
+        assert_eq!(
+            serial.2, parallel.2,
+            "RIB diverged at workers={workers} loaded={loaded}"
+        );
+    }
+}
+
 #[test]
 fn parallel_engine_is_bit_identical_to_serial() {
-    // Every worker count (and so every shard count) must reproduce the
-    // serial one-shard observables, on both inputs. At 2 workers EnbId
-    // 1 and 3 live on shard 1 and EnbId 2 on shard 0, so every
-    // inter-site handover is cross-shard.
-    for loaded in [false, true] {
-        let serial = run(None, loaded);
-        for workers in [2, 4] {
-            let parallel = run(Some(workers), loaded);
-            assert_eq!(
-                serial.0, parallel.0,
-                "event stream diverged at workers={workers} loaded={loaded}"
-            );
-            assert_eq!(
-                serial.1, parallel.1,
-                "UE stats diverged at workers={workers} loaded={loaded}"
-            );
-            assert_eq!(
-                serial.2, parallel.2,
-                "RIB diverged at workers={workers} loaded={loaded}"
-            );
-        }
-    }
+    assert_workers_match_serial(false);
+}
+
+#[test]
+fn sharded_control_plane_is_bit_identical_to_one_shard() {
+    // The busy-control-plane input: 1 ms full-stats reporting keeps
+    // every shard's RIB slot loaded while handovers cross shards.
+    assert_workers_match_serial(true);
 }
 
 /// Slab-RIB golden: the scale experiment's 1 eNB × 16 UE grid point,
