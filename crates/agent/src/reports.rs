@@ -10,7 +10,7 @@
 //!   is a change in the contents of the requested report".
 
 use flexran_proto::messages::stats::{ReportConfig, ReportType, StatsReply, UeReport};
-use flexran_proto::messages::CellReport;
+use flexran_proto::messages::{CellReport, FlexranMessage};
 use flexran_proto::wire::WireWriter;
 use flexran_stack::enb::Enb;
 use flexran_types::hash::fnv1a;
@@ -27,15 +27,17 @@ struct Subscription {
 
 /// Registered statistics subscriptions for one agent.
 ///
-/// The tick path is delta-aware and allocation-free in steady state: the
-/// candidate reply and the hash encoding live in reusable buffers, and
-/// heap traffic only happens when a report actually fires (the reply is
-/// handed to the caller by `mem::take`).
+/// The report path does not touch the heap at steady state: every
+/// candidate reply is composed into one pooled
+/// `FlexranMessage::StatsReply` (its UE entries and their vectors are
+/// refilled in place), a reply that fires is lent to the caller's send
+/// callback by reference and stays pooled for the next one, and the
+/// triggered mode's content hash encodes into a reusable buffer.
 #[derive(Debug, Default)]
 pub struct ReportsManager {
     subs: Vec<Subscription>,
-    /// Reusable reply — refilled in place each tick a subscription looks.
-    reply_buf: StatsReply,
+    /// Pooled reply, refilled in place for every candidate report.
+    reply: FlexranMessage,
     /// Reusable encode buffer for content hashing.
     hash_buf: WireWriter,
 }
@@ -48,12 +50,13 @@ pub fn compose_reply(enb: &Enb, tti: Tti, config: ReportConfig) -> StatsReply {
 }
 
 /// In-place variant of [`compose_reply`]: refills `reply`, reusing its
-/// `cells`/`ues` buffers.
+/// `cells`, its `ues` entries and each UE's vectors. Entries beyond the
+/// eNodeB's current UE count (UEs that left) are truncated.
 pub fn compose_reply_into(enb: &Enb, tti: Tti, config: ReportConfig, reply: &mut StatsReply) {
     reply.enb_id = enb.config().enb_id;
     reply.tti = tti.0;
     reply.cells.clear();
-    reply.ues.clear();
+    let mut n_ues = 0;
     for ci in 0..enb.n_cells() {
         let cell = enb.cell_id_at(ci);
         let Ok(stats) = enb.cell_stats(cell) else {
@@ -78,12 +81,16 @@ pub fn compose_reply_into(enb: &Enb, tti: Tti, config: ReportConfig, reply: &mut
             continue;
         };
         for ue in ues {
-            reply
-                .ues
-                // lint:allow(alloc-reach) owned wire structs, composed per report window
-                .push(UeReport::from_stats(&ue, cell, config.flags));
+            match reply.ues.get_mut(n_ues) {
+                Some(slot) => slot.from_stats_into(&ue, cell, config.flags),
+                None => reply
+                    .ues
+                    .push(UeReport::from_stats(&ue, cell, config.flags)),
+            }
+            n_ues += 1;
         }
     }
+    reply.ues.truncate(n_ues);
 }
 
 /// Content hash of a reply, excluding the timestamp (so a triggered report
@@ -124,24 +131,20 @@ impl ReportsManager {
         self.subs.iter().filter(|s| !s.done).count()
     }
 
-    /// Replies due at `tti`, with the xid to reply under.
-    ///
-    /// Candidate replies are composed into the manager's reusable buffer;
-    /// only a reply that actually fires is moved out (`mem::take`), so a
-    /// quiet tick — the steady state of a triggered subscription — does
-    /// not touch the heap.
-    pub fn due(&mut self, tti: Tti, enb: &Enb) -> Vec<(u32, StatsReply)> {
-        // lint:allow(alloc-reach) populated only when a report fires — interval-driven
-        let mut out = Vec::new();
+    /// Compose the replies due at `tti` and lend each to `send` with the
+    /// xid to reply under. The reply is the manager's pooled message:
+    /// `send` encodes it and returns, and the next report refills it.
+    pub fn due(&mut self, tti: Tti, enb: &Enb, mut send: impl FnMut(u32, &FlexranMessage)) {
         for sub in &mut self.subs {
             if sub.done {
                 continue;
             }
-            match sub.config.report_type {
+            let reply = self.reply.stats_reply_mut();
+            let fire = match sub.config.report_type {
                 ReportType::OneOff => {
-                    compose_reply_into(enb, tti, sub.config, &mut self.reply_buf);
-                    out.push((sub.xid, std::mem::take(&mut self.reply_buf)));
+                    compose_reply_into(enb, tti, sub.config, reply);
                     sub.done = true;
+                    true
                 }
                 ReportType::Periodic { period } => {
                     let due = match sub.last_sent {
@@ -149,25 +152,30 @@ impl ReportsManager {
                         Some(last) => tti.saturating_since(last) >= period as u64,
                     };
                     if due {
-                        compose_reply_into(enb, tti, sub.config, &mut self.reply_buf);
-                        out.push((sub.xid, std::mem::take(&mut self.reply_buf)));
+                        compose_reply_into(enb, tti, sub.config, reply);
                         sub.last_sent = Some(tti);
                     }
+                    due
                 }
                 ReportType::Triggered => {
-                    compose_reply_into(enb, tti, sub.config, &mut self.reply_buf);
-                    let h = content_hash(&mut self.reply_buf, &mut self.hash_buf);
-                    if h != sub.last_hash {
+                    compose_reply_into(enb, tti, sub.config, reply);
+                    let h = content_hash(reply, &mut self.hash_buf);
+                    let changed = h != sub.last_hash;
+                    if changed {
                         sub.last_hash = h;
                         sub.last_sent = Some(tti);
-                        out.push((sub.xid, std::mem::take(&mut self.reply_buf)));
                     }
+                    changed
                 }
+            };
+            if fire {
+                // The closure body is analyzed at its definition site
+                // (closures-as-edges). lint:alloc-free-callee
+                send(sub.xid, &self.reply);
             }
         }
         // Drop completed one-offs.
         self.subs.retain(|s| !s.done);
-        out
     }
 }
 
@@ -177,7 +185,7 @@ mod tests {
     use flexran_proto::messages::stats::ReportFlags;
     use flexran_stack::enb::{EnbParams, StaticPhyView};
     use flexran_types::config::EnbConfig;
-    use flexran_types::ids::{EnbId, SliceId, UeId};
+    use flexran_types::ids::{CellId, EnbId, SliceId, UeId};
     use flexran_types::units::Bytes;
 
     fn enb_with_ue() -> Enb {
@@ -194,6 +202,13 @@ mod tests {
         e
     }
 
+    /// The xids of the replies `due` fires at `t`.
+    fn fired(m: &mut ReportsManager, t: u64, enb: &Enb) -> Vec<u32> {
+        let mut xids = Vec::new();
+        m.due(Tti(t), enb, |xid, _| xids.push(xid));
+        xids
+    }
+
     fn all_config(rt: ReportType) -> ReportConfig {
         ReportConfig {
             report_type: rt,
@@ -206,8 +221,8 @@ mod tests {
         let enb = enb_with_ue();
         let mut m = ReportsManager::new();
         m.register(1, all_config(ReportType::OneOff));
-        assert_eq!(m.due(Tti(0), &enb).len(), 1);
-        assert_eq!(m.due(Tti(1), &enb).len(), 0);
+        assert_eq!(fired(&mut m, 0, &enb).len(), 1);
+        assert_eq!(fired(&mut m, 1, &enb).len(), 0);
         assert_eq!(m.n_subscriptions(), 0);
     }
 
@@ -218,7 +233,7 @@ mod tests {
         m.register(2, all_config(ReportType::Periodic { period: 5 }));
         let mut sent = Vec::new();
         for t in 0..20 {
-            for (xid, _) in m.due(Tti(t), &enb) {
+            for xid in fired(&mut m, t, &enb) {
                 assert_eq!(xid, 2);
                 sent.push(t);
             }
@@ -232,10 +247,10 @@ mod tests {
         let mut m = ReportsManager::new();
         m.register(3, all_config(ReportType::Triggered));
         // First report always fires (hash 0 → real hash).
-        assert_eq!(m.due(Tti(0), &enb).len(), 1);
+        assert_eq!(fired(&mut m, 0, &enb).len(), 1);
         // Nothing changed.
-        assert_eq!(m.due(Tti(1), &enb).len(), 0);
-        assert_eq!(m.due(Tti(2), &enb).len(), 0);
+        assert_eq!(fired(&mut m, 1, &enb).len(), 0);
+        assert_eq!(fired(&mut m, 2, &enb).len(), 0);
         // Change the queue: fires again.
         enb.inject_dl_traffic(
             flexran_types::ids::CellId(0),
@@ -244,8 +259,8 @@ mod tests {
             Tti(3),
         )
         .unwrap();
-        assert_eq!(m.due(Tti(3), &enb).len(), 1);
-        assert_eq!(m.due(Tti(4), &enb).len(), 0);
+        assert_eq!(fired(&mut m, 3, &enb).len(), 1);
+        assert_eq!(fired(&mut m, 4, &enb).len(), 0);
     }
 
     #[test]
@@ -265,6 +280,49 @@ mod tests {
         assert!(reply.cells.is_empty());
     }
 
+    proptest::proptest! {
+        /// Composing into one reused reply equals composing a fresh one at
+        /// every step, while UEs join and leave (leaving truncates `ues`),
+        /// secondary cells toggle and the flag set changes which vectors
+        /// are filled.
+        #[test]
+        fn compose_into_reused_reply_equals_fresh(
+            counts in proptest::collection::vec(0usize..12, 1..8),
+            flag_bits in proptest::collection::vec(proptest::prelude::any::<u8>(), 8..9),
+            scell_mask in proptest::prelude::any::<u16>(),
+        ) {
+            let (pcell, scell) = (CellId(0), CellId(1));
+            let mut config = EnbConfig::single_cell(EnbId(4));
+            config.cells.push(flexran_types::config::CellConfig::paper_default(scell));
+            let mut enb = Enb::new(config, EnbParams::default()).unwrap();
+            let mut rntis = Vec::new();
+            let mut reused = StatsReply::default();
+            for (step, &n) in counts.iter().enumerate() {
+                while rntis.len() < n {
+                    let tag = UeId(rntis.len() as u32 + 1);
+                    let rnti = enb
+                        .admit_ue(pcell, tag, SliceId::MNO, 0, Bytes(100), Tti(0))
+                        .unwrap();
+                    if scell_mask >> (rntis.len() % 16) & 1 == 1 {
+                        enb.set_scell(pcell, rnti, scell, true).unwrap();
+                    }
+                    rntis.push(rnti);
+                }
+                while rntis.len() > n {
+                    let rnti = rntis.remove((step * 7) % rntis.len());
+                    enb.detach(pcell, rnti, Tti(step as u64)).unwrap();
+                }
+                let config = ReportConfig {
+                    report_type: ReportType::Periodic { period: 1 },
+                    flags: ReportFlags(flag_bits[step % flag_bits.len()] as u64),
+                };
+                let tti = Tti(step as u64);
+                compose_reply_into(&enb, tti, config, &mut reused);
+                proptest::prop_assert_eq!(&reused, &compose_reply(&enb, tti, config));
+            }
+        }
+    }
+
     #[test]
     fn subscriptions_replace_and_cancel() {
         let enb = enb_with_ue();
@@ -272,8 +330,8 @@ mod tests {
         m.register(5, all_config(ReportType::Periodic { period: 1 }));
         m.register(5, all_config(ReportType::Periodic { period: 100 }));
         assert_eq!(m.n_subscriptions(), 1);
-        assert_eq!(m.due(Tti(0), &enb).len(), 1);
-        assert_eq!(m.due(Tti(1), &enb).len(), 0, "period replaced");
+        assert_eq!(fired(&mut m, 0, &enb).len(), 1);
+        assert_eq!(fired(&mut m, 1, &enb).len(), 0, "period replaced");
         m.cancel(5);
         assert_eq!(m.n_subscriptions(), 0);
         let mut phy = StaticPhyView(10.0);

@@ -76,43 +76,67 @@ impl App for MonitoringApp {
     }
 
     fn on_cycle(&mut self, rib: &RibView<'_>, ctl: &mut ControlHandle<'_>) {
-        // Subscribe to agents we have not seen before.
-        let new_agents: Vec<EnbId> = rib
-            .agents()
-            .into_iter()
-            .map(|a| a.enb_id)
-            .filter(|id| !self.subscribed.contains(id))
-            .collect();
-        for enb in new_agents {
-            ctl.send(
-                enb,
-                FlexranMessage::StatsRequest(StatsRequest {
-                    config: self.report,
-                }),
-            );
-            // Also pull the static configuration so the RIB's cell
-            // records (bandwidths, DCI budgets) are populated for other
-            // applications (e.g. the centralized scheduler).
-            ctl.send(enb, FlexranMessage::ConfigRequest(ConfigRequest::default()));
-            self.subscribed.push(enb);
+        // Subscribe to agents we have not seen before. The ordered,
+        // collecting query runs only on the cycle a new agent shows up.
+        if rib
+            .agents_unordered()
+            .any(|a| !self.subscribed.contains(&a.enb_id))
+        {
+            let new_agents: Vec<EnbId> = rib
+                .agents()
+                .into_iter()
+                .map(|a| a.enb_id)
+                .filter(|id| !self.subscribed.contains(id))
+                .collect();
+            for enb in new_agents {
+                ctl.send(
+                    enb,
+                    FlexranMessage::StatsRequest(StatsRequest {
+                        config: self.report,
+                    }),
+                );
+                // Also pull the static configuration so the RIB's cell
+                // records (bandwidths, DCI budgets) are populated for
+                // other applications (e.g. the centralized scheduler).
+                ctl.send(enb, FlexranMessage::ConfigRequest(ConfigRequest::default()));
+                self.subscribed.push(enb);
+            }
         }
-        // Refresh the shared snapshot from the RIB.
+        // Refresh the shared snapshot in place: overwrite the entry of
+        // every UE in the RIB (an existing key is updated without
+        // touching the heap), then drop the UEs that were not seen.
+        // Within an agent, cells and UEs keep the RIB order, so when two
+        // cells reuse an RNTI the later cell's UE wins, as it always has.
         let mut snap = self.snapshot.write();
         snap.updated = rib.now();
         snap.total_dl_bits = 0;
-        snap.ues.clear();
-        for (enb, _cell, ue) in rib.all_ues() {
-            snap.total_dl_bits += ue.report.dl_tbs_bits_total;
-            snap.ues.insert(
-                (enb, ue.rnti),
-                UeSnapshot {
-                    cqi: ue.report.wideband_cqi,
-                    dl_queue_bytes: ue.report.rlc.iter().map(|r| r.tx_queue_bytes).sum(),
-                    dl_delivered_bits: ue.report.dl_tbs_bits_total,
-                    connected: ue.report.connected,
-                    slice: ue.report.slice,
-                },
-            );
+        let mut distinct = 0;
+        for agent in rib.agents_unordered() {
+            let cells = agent.cells();
+            for (i, cell) in cells.iter().enumerate() {
+                for ue in cell.ues() {
+                    snap.total_dl_bits += ue.report.dl_tbs_bits_total;
+                    snap.ues.insert(
+                        (agent.enb_id, ue.rnti),
+                        UeSnapshot {
+                            cqi: ue.report.wideband_cqi,
+                            dl_queue_bytes: ue.report.rlc.iter().map(|r| r.tx_queue_bytes).sum(),
+                            dl_delivered_bits: ue.report.dl_tbs_bits_total,
+                            connected: ue.report.connected,
+                            slice: ue.report.slice,
+                        },
+                    );
+                    if !cells.iter().take(i).any(|c| c.ue(ue.rnti).is_some()) {
+                        distinct += 1;
+                    }
+                }
+            }
+        }
+        if snap.ues.len() > distinct {
+            snap.ues.retain(|&(enb, rnti), _| {
+                rib.agent(enb)
+                    .is_some_and(|a| a.cells().iter().any(|c| c.ue(rnti).is_some()))
+            });
         }
     }
 }
@@ -184,5 +208,78 @@ mod tests {
         assert_eq!(ue.cqi, 13);
         assert!(ue.connected);
         assert_eq!(snap.total_dl_bits, 4096);
+    }
+
+    #[test]
+    fn ue_that_leaves_drops_out_of_the_snapshot() {
+        use flexran_proto::messages::events::EventKind;
+        use flexran_proto::messages::{EventNotification, StatsReply, UeReport};
+
+        let mut master = MasterController::new(TaskManagerConfig::default());
+        let app = MonitoringApp::new(1);
+        let handle = app.snapshot_handle();
+        master.register_app(Box::new(app));
+        let (mut agent_side, master_side) = channel_pair();
+        master.add_agent(Box::new(master_side));
+        let send = |t: &mut dyn Transport, msg: FlexranMessage| {
+            t.send(Header::default(), &msg).unwrap();
+        };
+        send(
+            &mut agent_side,
+            FlexranMessage::Hello(Hello {
+                enb_id: EnbId(3),
+                n_cells: 1,
+                capabilities: vec![],
+                applied_config: 0,
+            }),
+        );
+        master.run_cycle(Tti(0));
+        let ue = |rnti: u16, bits: u64| UeReport {
+            rnti,
+            connected: true,
+            dl_tbs_bits_total: bits,
+            ..Default::default()
+        };
+        send(
+            &mut agent_side,
+            FlexranMessage::StatsReply(StatsReply {
+                enb_id: EnbId(3),
+                tti: 1,
+                cells: vec![],
+                ues: vec![ue(0x100, 1000), ue(0x101, 24), ue(0x102, 500)],
+            }),
+        );
+        master.run_cycle(Tti(1));
+        assert_eq!(handle.read().ues.len(), 3);
+        assert_eq!(handle.read().total_dl_bits, 1524);
+
+        // 0x101 detaches: the RIB drops its leaf, and so does the snapshot
+        // on the next cycle, while the others are refreshed in place.
+        send(
+            &mut agent_side,
+            FlexranMessage::EventNotification(EventNotification {
+                enb_id: EnbId(3),
+                kind: EventKind::UeDetached,
+                rnti: 0x101,
+                tti: 2,
+                ..EventNotification::default()
+            }),
+        );
+        send(
+            &mut agent_side,
+            FlexranMessage::StatsReply(StatsReply {
+                enb_id: EnbId(3),
+                tti: 2,
+                cells: vec![],
+                ues: vec![ue(0x100, 2000), ue(0x102, 600)],
+            }),
+        );
+        master.run_cycle(Tti(2));
+        let snap = handle.read();
+        let keys: Vec<u16> = snap.ues.keys().map(|(_, r)| r.0).collect();
+        assert_eq!(keys, vec![0x100, 0x102]);
+        assert_eq!(snap.ues[&(EnbId(3), Rnti(0x100))].dl_delivered_bits, 2000);
+        assert_eq!(snap.total_dl_bits, 2600);
+        assert_eq!(snap.updated, Tti(2));
     }
 }

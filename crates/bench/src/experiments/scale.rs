@@ -26,6 +26,7 @@
 use std::time::Instant;
 
 use flexran::agent::AgentConfig;
+use flexran::apps::MonitoringApp;
 use flexran::harness::{SimConfig, SimHarness, UeRadioSpec};
 use flexran::prelude::*;
 use flexran::sim::traffic::FullBufferSource;
@@ -402,41 +403,91 @@ pub fn scale(ctx: &ExpContext) -> ExpResult {
 /// gate, so any hot-path allocation regression fails CI locally.
 pub const ALLOC_CEILING_2X32: u64 = 0;
 
+/// The committed allocations-per-TTI ceiling for the same 2 eNB × 32 UE
+/// serial run with a busy control plane: `MonitoringApp::new(1)`, i.e.
+/// full statistics every 1 ms (compose, encode + CRC, link, decode, RIB
+/// apply, monitoring snapshot). The measured value when the reporting
+/// path was made allocation-free: the one allocation per report left is
+/// the sim link copying each encoded frame into its in-flight queue.
+/// Ratchet it *down* only.
+pub const ALLOC_CEILING_2X32_LOADED: u64 = 2;
+
+/// TTIs the loaded point runs after attaching the monitoring app and
+/// before measuring, so every pooled report buffer has reached its size.
+const LOADED_SETTLE_TTIS: u64 = 100;
+
 /// allocgate — the CI allocation-regression gate.
 ///
-/// A fast, single-point version of the scale experiment's zero-alloc
-/// assertion: build 2 eNBs × 32 UEs, warm up past the buffer ramp, then
+/// A fast version of the scale experiment's zero-alloc assertion at two
+/// points: build 2 eNBs × 32 UEs, warm up past the buffer ramp, then
 /// count every heap allocation across a measured window with the
-/// counting allocator. Fails (panics) if the count exceeds
-/// [`ALLOC_CEILING_2X32`].
-// The ceiling is currently 0, which makes the `<=` gate degenerate;
-// the ratchet form is kept so a future (temporary) nonzero ceiling is a
-// one-line constant change.
+/// counting allocator, once with a silent control plane and once with
+/// 1 ms full statistics reporting. Fails (panics) if the silent count
+/// exceeds [`ALLOC_CEILING_2X32`] or the loaded allocations per TTI
+/// exceed [`ALLOC_CEILING_2X32_LOADED`].
+// The silent ceiling is currently 0, which makes its `<=` gate
+// degenerate; the ratchet form is kept so a future (temporary) nonzero
+// ceiling is a one-line constant change.
 #[allow(clippy::absurd_extreme_comparisons)]
 pub fn allocgate(ctx: &ExpContext) -> ExpResult {
     let ttis = ctx.ttis(500, 100);
     let mut sim = build(2, 32, None, 7);
     sim.run(WARMUP_TTIS);
-    let (_, allocs, frees) = alloc_counter::measure(|| sim.run(ttis));
+    let (_, allocs, bytes) = alloc_counter::measure(|| sim.run(ttis));
+
+    let mut loaded = build(2, 32, None, 7);
+    loaded.run(WARMUP_TTIS);
+    loaded
+        .master_mut()
+        .register_app(Box::new(MonitoringApp::new(1)));
+    loaded.run(LOADED_SETTLE_TTIS);
+    let (_, loaded_allocs, loaded_bytes) = alloc_counter::measure(|| loaded.run(ttis));
+    let loaded_per_tti = loaded_allocs as f64 / ttis as f64;
 
     let mut r = ExpResult::new(
         "allocgate",
-        "steady-state allocation gate (2 eNBs x 32 UEs, serial engine)",
-        &["warmup TTIs", "measured TTIs", "allocs", "frees", "ceiling"],
+        "steady-state allocation gate (2 eNBs x 32 UEs, serial engine; silent and 1 ms stats)",
+        &[
+            "control plane",
+            "warmup TTIs",
+            "measured TTIs",
+            "allocs",
+            "bytes",
+            "allocs/TTI",
+            "ceiling",
+        ],
     );
     r.row(vec![
+        "silent".into(),
         WARMUP_TTIS.to_string(),
         ttis.to_string(),
         allocs.to_string(),
-        frees.to_string(),
-        ALLOC_CEILING_2X32.to_string(),
+        bytes.to_string(),
+        f2(allocs as f64 / ttis as f64),
+        format!("{ALLOC_CEILING_2X32} allocs"),
+    ]);
+    r.row(vec![
+        "1 ms stats".into(),
+        (WARMUP_TTIS + LOADED_SETTLE_TTIS).to_string(),
+        ttis.to_string(),
+        loaded_allocs.to_string(),
+        loaded_bytes.to_string(),
+        f2(loaded_per_tti),
+        format!("{ALLOC_CEILING_2X32_LOADED} allocs/TTI"),
     ]);
     r.note(format!(
-        "{allocs} heap allocations over {ttis} steady-state TTIs          (committed ceiling: {ALLOC_CEILING_2X32})"
+        "silent: {allocs} heap allocations over {ttis} steady-state TTIs (committed ceiling: {ALLOC_CEILING_2X32})"
+    ));
+    r.note(format!(
+        "1 ms stats: {loaded_allocs} heap allocations over {ttis} steady-state TTIs, {loaded_per_tti:.2}/TTI (committed ceiling: {ALLOC_CEILING_2X32_LOADED}/TTI)"
     ));
     assert!(
         allocs <= ALLOC_CEILING_2X32,
-        "allocation gate failed: {allocs} allocs over {ttis} TTIs at 2x32          (ceiling {ALLOC_CEILING_2X32}); a per-TTI path started touching the heap"
+        "allocation gate failed: {allocs} allocs over {ttis} TTIs at 2x32 (ceiling {ALLOC_CEILING_2X32}); a per-TTI path started touching the heap"
+    );
+    assert!(
+        loaded_per_tti <= ALLOC_CEILING_2X32_LOADED as f64,
+        "loaded allocation gate failed: {loaded_per_tti:.2} allocs/TTI at 2x32 with 1 ms stats (ceiling {ALLOC_CEILING_2X32_LOADED}); the reporting path started touching the heap"
     );
     r
 }

@@ -53,6 +53,7 @@ use flexran_proto::messages::stats::StatsReply;
 use flexran_proto::messages::{
     ConfigReply, EventNotification, FlexranMessage, Header, Hello, SubframeTrigger,
 };
+use flexran_proto::wire::WireWriter;
 use flexran_types::ids::EnbId;
 use flexran_types::time::Tti;
 use flexran_types::{FlexError, Result};
@@ -94,15 +95,28 @@ pub struct RibJournal {
     deltas_recorded: u64,
     /// Snapshot rewrites performed (diagnostics).
     compactions: u64,
+    /// Reusable record encoder: a journaled 1 ms stats reply does not
+    /// allocate a fresh envelope buffer.
+    scratch: WireWriter,
 }
 
-fn append_record(buf: &mut Vec<u8>, tag: u8, enb: EnbId, tti: Tti, msg: &FlexranMessage) {
-    let payload = msg.encode(Header::default());
+/// Append one record, encoding `msg` through the reusable `scratch`
+/// writer.
+fn append_record(
+    buf: &mut Vec<u8>,
+    scratch: &mut WireWriter,
+    tag: u8,
+    enb: EnbId,
+    tti: Tti,
+    msg: &FlexranMessage,
+) {
+    msg.encode_into(Header::default(), scratch);
+    let payload = scratch.as_slice();
     buf.push(tag);
     buf.extend_from_slice(&enb.0.to_be_bytes());
     buf.extend_from_slice(&tti.0.to_be_bytes());
     buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    buf.extend_from_slice(&payload);
+    buf.extend_from_slice(payload);
 }
 
 /// Panic-free cursor over a record section.
@@ -218,13 +232,14 @@ impl RibJournal {
             rollout: Vec::new(),
             deltas_recorded: 0,
             compactions: 0,
+            scratch: WireWriter::new(),
         }
     }
 
     /// Journal one RIB-mutating agent message (called right after the
     /// updater folds it).
     pub fn record_delta(&mut self, enb: EnbId, now: Tti, msg: &FlexranMessage) {
-        append_record(&mut self.deltas, TAG_RIB, enb, now, msg);
+        append_record(&mut self.deltas, &mut self.scratch, TAG_RIB, enb, now, msg);
         self.deltas_recorded += 1;
     }
 
@@ -232,7 +247,14 @@ impl RibJournal {
     /// policy). Replay records survive compaction: they are the master's
     /// *intent*, not derivable from the RIB.
     pub fn record_replay(&mut self, enb: EnbId, msg: &FlexranMessage) {
-        append_record(&mut self.replay, TAG_REPLAY, enb, Tti::ZERO, msg);
+        append_record(
+            &mut self.replay,
+            &mut self.scratch,
+            TAG_REPLAY,
+            enb,
+            Tti::ZERO,
+            msg,
+        );
     }
 
     /// Journal the rollout controller's current state (raw codec bytes),
@@ -257,7 +279,7 @@ impl RibJournal {
     /// Rewrite the snapshot from the live RIB now and clear the deltas.
     pub fn compact(&mut self, rib: &Rib) {
         self.snapshot.clear();
-        synthesize_snapshot(rib, &mut self.snapshot);
+        synthesize_snapshot(rib, &mut self.snapshot, &mut self.scratch);
         self.deltas.clear();
         self.cycles_since_snapshot = 0;
         self.compactions += 1;
@@ -346,11 +368,12 @@ impl RibJournal {
 
 /// Emit the message sequence that rebuilds `rib` exactly when replayed
 /// through [`crate::updater::RibUpdater::apply`] at each record's TTI.
-fn synthesize_snapshot(rib: &Rib, out: &mut Vec<u8>) {
+fn synthesize_snapshot(rib: &Rib, out: &mut Vec<u8>, scratch: &mut WireWriter) {
     for agent in rib.agents() {
         let enb = agent.enb_id;
         append_record(
             out,
+            scratch,
             TAG_RIB,
             enb,
             agent.connected_at,
@@ -368,6 +391,7 @@ fn synthesize_snapshot(rib: &Rib, out: &mut Vec<u8>) {
             if let Some(config) = &cell.config {
                 append_record(
                     out,
+                    scratch,
                     TAG_RIB,
                     enb,
                     cell.updated,
@@ -381,6 +405,7 @@ fn synthesize_snapshot(rib: &Rib, out: &mut Vec<u8>) {
             if let Some(report) = &cell.last_report {
                 append_record(
                     out,
+                    scratch,
                     TAG_RIB,
                     enb,
                     cell.updated,
@@ -407,6 +432,7 @@ fn synthesize_snapshot(rib: &Rib, out: &mut Vec<u8>) {
                 };
                 append_record(
                     out,
+                    scratch,
                     TAG_RIB,
                     enb,
                     ue.updated,
@@ -423,6 +449,7 @@ fn synthesize_snapshot(rib: &Rib, out: &mut Vec<u8>) {
                 if ue.report.rnti != 0 {
                     append_record(
                         out,
+                        scratch,
                         TAG_RIB,
                         enb,
                         ue.updated,
@@ -439,6 +466,7 @@ fn synthesize_snapshot(rib: &Rib, out: &mut Vec<u8>) {
         if let Some((agent_tti, received)) = agent.last_sync {
             append_record(
                 out,
+                scratch,
                 TAG_RIB,
                 enb,
                 received,

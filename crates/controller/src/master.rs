@@ -107,6 +107,10 @@ pub struct SessionLivenessStats {
     pub downs: u64,
     /// `AgentUp` edges (rejoins, including the replay of delegated state).
     pub ups: u64,
+    /// Frames that reached the master but failed to decode (corrupted,
+    /// truncated or garbage); each ends its session's drain for the
+    /// cycle.
+    pub undecodable_frames: u64,
 }
 
 /// Wall-clock accounting of one cycle.
@@ -498,6 +502,7 @@ impl MasterController {
         for shard in &self.shards {
             total.downs += shard.liveness.downs;
             total.ups += shard.liveness.ups;
+            total.undecodable_frames += shard.liveness.undecodable_frames;
         }
         total
     }
@@ -604,7 +609,6 @@ impl MasterController {
                 let Some(session) = self.limbo.get_mut(i) else {
                     break;
                 };
-                // lint:allow(alloc-reach) decode materializes owned messages — arrival-driven
                 while let Ok(Some((header, msg))) = session.transport.try_recv() {
                     session.last_rx = Some(now);
                     if let FlexranMessage::Heartbeat(h) = &msg {

@@ -315,6 +315,22 @@ impl<'a> RibView<'a> {
         }
     }
 
+    /// All agents, without collecting them: the per-TTI read for
+    /// consumers whose result does not depend on agent order (folding
+    /// into a keyed map, summing). With one shard this is the ascending-id
+    /// order of [`RibView::agents`]; with more, agents come shard by
+    /// shard.
+    pub fn agents_unordered(&self) -> impl Iterator<Item = &'a AgentNode> + 'a {
+        let (single, shards): (Option<&'a Rib>, &'a [RibShard]) = match self.backing {
+            Backing::Single(rib) => (Some(rib), &[]),
+            Backing::Sharded(shards) => (None, shards),
+        };
+        single
+            .into_iter()
+            .chain(shards.iter().map(RibShard::rib))
+            .flat_map(|rib| rib.agents())
+    }
+
     pub fn n_agents(&self) -> usize {
         match self.backing {
             Backing::Single(rib) => rib.n_agents(),

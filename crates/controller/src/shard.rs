@@ -45,6 +45,7 @@ use flexran_proto::messages::{EventNotification, FlexranMessage, Header, ResyncR
 use flexran_proto::transport::Transport;
 use flexran_types::ids::EnbId;
 use flexran_types::time::Tti;
+use flexran_types::ErrorKind;
 
 use crate::config::BundleAck;
 use crate::journal::{mutates_rib, RibJournal};
@@ -120,6 +121,10 @@ pub(crate) struct Session {
     /// that routed this session to its shard rides here); consumed ahead
     /// of the transport.
     pub(crate) carryover: VecDeque<(Header, FlexranMessage)>,
+    /// Receive slot: every message of the session is decoded into it, so
+    /// the 1 ms stats reply is refilled in place (see
+    /// `FlexranMessage::decode_into`) instead of rebuilt per report.
+    pub(crate) rx_slot: FlexranMessage,
     /// Run the rejoin path (fresh-mark + delegated-state replay) on the
     /// next RIB slot — set when a recovered master adopts pending replay
     /// state at the session's `Hello`.
@@ -150,6 +155,7 @@ impl Session {
             global_idx,
             xid: 0,
             carryover: VecDeque::new(),
+            rx_slot: FlexranMessage::default(),
             rejoin_pending: false,
             rehome_to: None,
             applied_config: 0,
@@ -312,21 +318,29 @@ impl RibShard {
                 continue;
             }
             loop {
-                let next = match session.carryover.pop_front() {
-                    Some(m) => Some(m),
-                    // lint:allow(alloc-reach) decode materializes owned messages — arrival-driven
-                    None => match session.transport.try_recv() {
-                        Ok(Some(m)) => Some(m),
-                        Ok(None) | Err(_) => None,
+                let header = match session.carryover.pop_front() {
+                    Some((header, msg)) => {
+                        session.rx_slot = msg;
+                        header
+                    }
+                    None => match session.transport.try_recv_into(&mut session.rx_slot) {
+                        Ok(Some(header)) => header,
+                        Ok(None) => break,
+                        Err(e) => {
+                            if e.kind() == ErrorKind::Codec {
+                                self.liveness.undecodable_frames += 1;
+                            }
+                            break;
+                        }
                     },
                 };
-                let Some((header, msg)) = next else { break };
+                let msg = &session.rx_slot;
                 session.last_rx = Some(now);
                 if session.down {
                     session.down = false;
                     rejoined.push(idx);
                 }
-                if let FlexranMessage::Heartbeat(h) = &msg {
+                if let FlexranMessage::Heartbeat(h) = msg {
                     // Session-level probe: mirror it back even before the
                     // agent has introduced itself. The probe doubles as
                     // the drift signal: it carries the signature of the
@@ -337,7 +351,7 @@ impl RibShard {
                         // lint:allow(alloc-reach) wire frame growth is pooled; ack is arrival-driven
                         .send(header, &FlexranMessage::HeartbeatAck(*h));
                 }
-                if let FlexranMessage::ConfigBundleAck(a) = &msg {
+                if let FlexranMessage::ConfigBundleAck(a) = msg {
                     if a.ok {
                         session.applied_config = a.signature;
                     }
@@ -349,7 +363,7 @@ impl RibShard {
                         ok: a.ok,
                     });
                 }
-                if let FlexranMessage::Hello(h) = &msg {
+                if let FlexranMessage::Hello(h) = msg {
                     if owner_of(h.enb_id, n_shards) != index {
                         // The session renamed itself to an agent another
                         // shard owns (an agent restart reusing the link
@@ -357,6 +371,7 @@ impl RibShard {
                         // the master re-home the session — this shard
                         // must never write a foreign subtree.
                         let rehome = h.enb_id;
+                        let msg = std::mem::take(&mut session.rx_slot);
                         session.carryover.push_front((header, msg));
                         session.rehome_to = Some(rehome);
                         break;
@@ -384,7 +399,7 @@ impl RibShard {
                     }
                     continue;
                 };
-                if let Some(ev) = self.updater.apply(&mut self.rib, enb, &msg, now) {
+                if let Some(ev) = self.updater.apply(&mut self.rib, enb, msg, now) {
                     self.events.push(TaggedEvent {
                         phase: PHASE_DRAIN,
                         order: session.global_idx,
@@ -392,8 +407,8 @@ impl RibShard {
                     });
                 }
                 if let Some(journal) = self.journal.as_mut() {
-                    if mutates_rib(&msg) {
-                        journal.record_delta(enb, now, &msg);
+                    if mutates_rib(msg) {
+                        journal.record_delta(enb, now, msg);
                     }
                 }
             }

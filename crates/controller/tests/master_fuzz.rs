@@ -1,6 +1,6 @@
 //! Fuzzing the master's message handler.
 //!
-//! The master's inbound surface is whatever a transport's `try_recv`
+//! The master's inbound surface is whatever a transport's `try_recv_into`
 //! yields from network bytes. This harness drives that exact path with
 //! three hostile frame classes — raw garbage bytes, bit-flipped valid
 //! envelopes, and structurally valid messages carrying hostile field
@@ -30,7 +30,7 @@ use flexran_types::ids::EnbId;
 use flexran_types::time::Tti;
 use flexran_types::Result;
 
-/// A transport preloaded with adversarial inbound frames. `try_recv`
+/// A transport preloaded with adversarial inbound frames. `try_recv_into`
 /// decodes them exactly the way the real channel/TCP/sim transports do,
 /// so the master sees the same error/message sequence it would see from
 /// a hostile or corrupted peer. Outbound messages are swallowed.
@@ -44,12 +44,11 @@ impl Transport for FuzzTransport {
         Ok(())
     }
 
-    fn try_recv(&mut self) -> Result<Option<(Header, FlexranMessage)>> {
+    fn try_recv_into(&mut self, slot: &mut FlexranMessage) -> Result<Option<Header>> {
         let Some(bytes) = self.inbound.pop_front() else {
             return Ok(None);
         };
-        let (header, msg) = FlexranMessage::decode(&bytes)?;
-        Ok(Some((header, msg)))
+        FlexranMessage::decode_into(&bytes, slot).map(Some)
     }
 
     fn tx_counters(&self) -> ByteCounters {

@@ -23,7 +23,7 @@ use flexran_types::ids::EnbId;
 use flexran_types::{FlexError, Result};
 
 use crate::category::MessageCategory;
-use crate::wire::{crc32, WireReader, WireWriter};
+use crate::wire::{crc32, WireReader, WireValue, WireWriter};
 
 pub use commands::{
     AbsCommand, DlSchedulingCommand, DrxCommand, HandoverCommand, ScellCommand, UlSchedulingCommand,
@@ -336,148 +336,60 @@ impl FlexranMessage {
         w.fixed32_always(F_INTEGRITY, crc);
     }
 
-    /// Parse an envelope. The integrity trailer is verified first: a
-    /// missing trailer (truncation, garbage) or a CRC mismatch (bit
-    /// corruption) rejects the whole envelope before any field is looked
-    /// at. Unknown body fields fail loudly (the envelope is the one place
-    /// where "I don't know this message" must be surfaced); unknown
-    /// fields *inside* known messages are skipped.
+    /// Parse an envelope into a fresh message: [`FlexranMessage::decode_into`]
+    /// on an empty slot.
     pub fn decode(data: &[u8]) -> Result<(Header, FlexranMessage)> {
-        let Some(body_len) = data.len().checked_sub(INTEGRITY_TRAILER_LEN) else {
-            return Err(FlexError::Codec(
-                "envelope shorter than its integrity trailer".into(),
-            ));
-        };
-        // lint:allow(panic): body_len = len - TRAILER_LEN ≤ len.
-        let (data, trailer) = data.split_at(body_len);
-        let &[key, c0, c1, c2, c3] = trailer else {
-            return Err(FlexError::Codec(
-                "envelope integrity trailer missing (truncated or garbage frame)".into(),
-            ));
-        };
-        if key != INTEGRITY_KEY {
-            return Err(FlexError::Codec(
-                "envelope integrity trailer missing (truncated or garbage frame)".into(),
-            ));
-        }
-        let want = u32::from_le_bytes([c0, c1, c2, c3]);
-        let got = crc32(data);
-        if got != want {
-            return Err(FlexError::Codec(format!(
-                "envelope integrity check failed: crc {got:#010x}, trailer says {want:#010x}"
-            )));
-        }
+        let mut slot = FlexranMessage::default();
+        let header = FlexranMessage::decode_into(data, &mut slot)?;
+        Ok((header, slot))
+    }
+
+    /// Parse an envelope into `slot`, returning its header. The integrity
+    /// trailer is verified first: a missing trailer (truncation, garbage)
+    /// or a CRC mismatch (bit corruption) rejects the whole envelope
+    /// before any field is looked at. Unknown body fields fail loudly
+    /// (the envelope is the one place where "I don't know this message"
+    /// must be surfaced); unknown fields *inside* known messages are
+    /// skipped.
+    ///
+    /// A `StatsReply` body is decoded in place when `slot` already holds
+    /// one, reusing its UE entries and their vectors — the 1 ms report
+    /// stream then decodes without heap traffic. Every other kind is
+    /// decoded fresh and replaces `slot`. On `Ok`, `slot` equals what
+    /// [`FlexranMessage::decode`] returns for the same bytes whatever it
+    /// held before; on `Err` its contents are unspecified.
+    pub fn decode_into(data: &[u8], slot: &mut FlexranMessage) -> Result<Header> {
+        // lint:allow(alloc-reach) error path only: formats the CRC mismatch of a corrupted frame
+        let data = sealed_body(data)?;
         let mut header: Option<Header> = None;
-        let mut body: Option<FlexranMessage> = None;
+        let mut has_body = false;
         let mut r = WireReader::new(data);
         while let Some((f, v)) = r.next_field()? {
             match f {
                 F_HEADER => header = Some(Header::decode(v.as_bytes()?)?),
-                F_HELLO => body = Some(FlexranMessage::Hello(Hello::decode(v.as_bytes()?)?)),
-                F_ECHO_REQ => {
-                    body = Some(FlexranMessage::EchoRequest(Echo::decode(v.as_bytes()?)?))
-                }
-                F_ECHO_REP => body = Some(FlexranMessage::EchoReply(Echo::decode(v.as_bytes()?)?)),
-                F_HEARTBEAT => {
-                    body = Some(FlexranMessage::Heartbeat(Heartbeat::decode(v.as_bytes()?)?))
-                }
-                F_HEARTBEAT_ACK => {
-                    body = Some(FlexranMessage::HeartbeatAck(Heartbeat::decode(
-                        v.as_bytes()?,
-                    )?))
-                }
-                F_CONFIG_REQ => {
-                    body = Some(FlexranMessage::ConfigRequest(ConfigRequest::decode(
-                        v.as_bytes()?,
-                    )?))
-                }
-                F_CONFIG_REP => {
-                    body = Some(FlexranMessage::ConfigReply(ConfigReply::decode(
-                        v.as_bytes()?,
-                    )?))
-                }
-                F_STATS_REQ => {
-                    body = Some(FlexranMessage::StatsRequest(StatsRequest::decode(
-                        v.as_bytes()?,
-                    )?))
-                }
-                F_SF_TRIGGER => {
-                    body = Some(FlexranMessage::SubframeTrigger(SubframeTrigger::decode(
-                        v.as_bytes()?,
-                    )?))
-                }
-                F_STATS_REP => {
-                    body = Some(FlexranMessage::StatsReply(StatsReply::decode(
-                        v.as_bytes()?,
-                    )?))
-                }
-                F_EVENT => {
-                    body = Some(FlexranMessage::EventNotification(
-                        EventNotification::decode(v.as_bytes()?)?,
-                    ))
-                }
-                F_DL_SCHED => {
-                    body = Some(FlexranMessage::DlSchedulingCommand(
-                        DlSchedulingCommand::decode(v.as_bytes()?)?,
-                    ))
-                }
-                F_UL_SCHED => {
-                    body = Some(FlexranMessage::UlSchedulingCommand(
-                        UlSchedulingCommand::decode(v.as_bytes()?)?,
-                    ))
-                }
-                F_HANDOVER => {
-                    body = Some(FlexranMessage::HandoverCommand(HandoverCommand::decode(
-                        v.as_bytes()?,
-                    )?))
-                }
-                F_DRX => {
-                    body = Some(FlexranMessage::DrxCommand(DrxCommand::decode(
-                        v.as_bytes()?,
-                    )?))
-                }
-                F_ABS => {
-                    body = Some(FlexranMessage::AbsCommand(AbsCommand::decode(
-                        v.as_bytes()?,
-                    )?))
-                }
-                F_SCELL => {
-                    body = Some(FlexranMessage::ScellCommand(ScellCommand::decode(
-                        v.as_bytes()?,
-                    )?))
-                }
-                F_VSF_PUSH => body = Some(FlexranMessage::VsfPush(VsfPush::decode(v.as_bytes()?)?)),
-                F_POLICY => {
-                    body = Some(FlexranMessage::PolicyReconfiguration(
-                        PolicyReconfiguration::decode(v.as_bytes()?)?,
-                    ))
-                }
-                F_DELEG_ACK => {
-                    body = Some(FlexranMessage::DelegationAck(DelegationAck::decode(
-                        v.as_bytes()?,
-                    )?))
-                }
-                F_RESYNC_REQ => {
-                    body = Some(FlexranMessage::ResyncRequest(ResyncRequest::decode(
-                        v.as_bytes()?,
-                    )?))
-                }
-                F_CONFIG_BUNDLE_PUSH => {
-                    body = Some(FlexranMessage::ConfigBundlePush(ConfigBundlePush::decode(
-                        v.as_bytes()?,
-                    )?))
-                }
-                F_CONFIG_BUNDLE_ACK => {
-                    body = Some(FlexranMessage::ConfigBundleAck(ConfigBundleAck::decode(
-                        v.as_bytes()?,
-                    )?))
-                }
-                other => return Err(FlexError::Codec(format!("unknown envelope field {other}"))),
+                F_STATS_REP => slot.stats_reply_mut().decode_into(v.as_bytes()?)?,
+                // lint:allow(alloc-reach) other kinds decode into fresh owned values (command DCI lists, strings); only the stats stream is pooled
+                other => *slot = decode_owned_body(other, v)?,
             }
+            has_body |= f != F_HEADER;
         }
         let header = header.ok_or_else(|| FlexError::Codec("envelope missing header".into()))?;
-        let body = body.ok_or_else(|| FlexError::Codec("envelope missing body".into()))?;
-        Ok((header, body))
+        if !has_body {
+            return Err(FlexError::Codec("envelope missing body".into()));
+        }
+        Ok(header)
+    }
+
+    /// The `StatsReply` this message holds, first replacing any other
+    /// kind with an empty reply. An existing reply keeps its buffers.
+    pub fn stats_reply_mut(&mut self) -> &mut StatsReply {
+        match self {
+            FlexranMessage::StatsReply(r) => r,
+            other => {
+                *other = FlexranMessage::StatsReply(StatsReply::default());
+                other.stats_reply_mut()
+            }
+        }
     }
 
     /// Traffic category for overhead accounting (Fig. 7).
@@ -538,6 +450,85 @@ impl FlexranMessage {
             FlexranMessage::ConfigBundleAck(_) => "config-bundle-ack",
         }
     }
+}
+
+/// An empty receive slot (an empty `StatsReply`, which owns no heap
+/// memory). [`FlexranMessage::decode_into`] overwrites it.
+impl Default for FlexranMessage {
+    fn default() -> Self {
+        FlexranMessage::StatsReply(StatsReply::default())
+    }
+}
+
+/// The envelope minus its integrity trailer, after checking the trailer:
+/// the CRC must match before any field is read.
+fn sealed_body(data: &[u8]) -> Result<&[u8]> {
+    let Some(body_len) = data.len().checked_sub(INTEGRITY_TRAILER_LEN) else {
+        return Err(FlexError::Codec(
+            "envelope shorter than its integrity trailer".into(),
+        ));
+    };
+    // lint:allow(panic): body_len = len - TRAILER_LEN ≤ len.
+    let (data, trailer) = data.split_at(body_len);
+    let &[key, c0, c1, c2, c3] = trailer else {
+        return Err(FlexError::Codec(
+            "envelope integrity trailer missing (truncated or garbage frame)".into(),
+        ));
+    };
+    if key != INTEGRITY_KEY {
+        return Err(FlexError::Codec(
+            "envelope integrity trailer missing (truncated or garbage frame)".into(),
+        ));
+    }
+    let want = u32::from_le_bytes([c0, c1, c2, c3]);
+    let got = crc32(data);
+    if got != want {
+        return Err(FlexError::Codec(format!(
+            "envelope integrity check failed: crc {got:#010x}, trailer says {want:#010x}"
+        )));
+    }
+    Ok(data)
+}
+
+/// Decode an envelope body field of any kind but `StatsReply` (which
+/// [`FlexranMessage::decode_into`] refills in place) into a fresh
+/// message.
+fn decode_owned_body(field: u32, v: WireValue<'_>) -> Result<FlexranMessage> {
+    Ok(match field {
+        F_HELLO => FlexranMessage::Hello(Hello::decode(v.as_bytes()?)?),
+        F_ECHO_REQ => FlexranMessage::EchoRequest(Echo::decode(v.as_bytes()?)?),
+        F_ECHO_REP => FlexranMessage::EchoReply(Echo::decode(v.as_bytes()?)?),
+        F_HEARTBEAT => FlexranMessage::Heartbeat(Heartbeat::decode(v.as_bytes()?)?),
+        F_HEARTBEAT_ACK => FlexranMessage::HeartbeatAck(Heartbeat::decode(v.as_bytes()?)?),
+        F_CONFIG_REQ => FlexranMessage::ConfigRequest(ConfigRequest::decode(v.as_bytes()?)?),
+        F_CONFIG_REP => FlexranMessage::ConfigReply(ConfigReply::decode(v.as_bytes()?)?),
+        F_STATS_REQ => FlexranMessage::StatsRequest(StatsRequest::decode(v.as_bytes()?)?),
+        F_SF_TRIGGER => FlexranMessage::SubframeTrigger(SubframeTrigger::decode(v.as_bytes()?)?),
+        F_EVENT => FlexranMessage::EventNotification(EventNotification::decode(v.as_bytes()?)?),
+        F_DL_SCHED => {
+            FlexranMessage::DlSchedulingCommand(DlSchedulingCommand::decode(v.as_bytes()?)?)
+        }
+        F_UL_SCHED => {
+            FlexranMessage::UlSchedulingCommand(UlSchedulingCommand::decode(v.as_bytes()?)?)
+        }
+        F_HANDOVER => FlexranMessage::HandoverCommand(HandoverCommand::decode(v.as_bytes()?)?),
+        F_DRX => FlexranMessage::DrxCommand(DrxCommand::decode(v.as_bytes()?)?),
+        F_ABS => FlexranMessage::AbsCommand(AbsCommand::decode(v.as_bytes()?)?),
+        F_SCELL => FlexranMessage::ScellCommand(ScellCommand::decode(v.as_bytes()?)?),
+        F_VSF_PUSH => FlexranMessage::VsfPush(VsfPush::decode(v.as_bytes()?)?),
+        F_POLICY => {
+            FlexranMessage::PolicyReconfiguration(PolicyReconfiguration::decode(v.as_bytes()?)?)
+        }
+        F_DELEG_ACK => FlexranMessage::DelegationAck(DelegationAck::decode(v.as_bytes()?)?),
+        F_RESYNC_REQ => FlexranMessage::ResyncRequest(ResyncRequest::decode(v.as_bytes()?)?),
+        F_CONFIG_BUNDLE_PUSH => {
+            FlexranMessage::ConfigBundlePush(ConfigBundlePush::decode(v.as_bytes()?)?)
+        }
+        F_CONFIG_BUNDLE_ACK => {
+            FlexranMessage::ConfigBundleAck(ConfigBundleAck::decode(v.as_bytes()?)?)
+        }
+        other => return Err(FlexError::Codec(format!("unknown envelope field {other}"))),
+    })
 }
 
 #[cfg(test)]

@@ -139,7 +139,11 @@ impl RlcReport {
 }
 
 /// One UE's statistics on the wire.
-#[derive(Debug, Clone, PartialEq, Default)]
+///
+/// `Clone` is written by hand so that `clone_from` reuses the eight
+/// vectors' allocations (the master's RIB apply refreshes every UE node
+/// with it once per report).
+#[derive(Debug, PartialEq, Default)]
 pub struct UeReport {
     pub rnti: u16,
     /// Serving (primary) cell within the reporting eNodeB.
@@ -237,6 +241,17 @@ impl UeReport {
 
     pub(crate) fn decode(data: &[u8]) -> Result<UeReport> {
         let mut m = UeReport::default();
+        m.decode_into(data)?;
+        Ok(m)
+    }
+
+    /// Decode into `self`, reusing its vectors. Every field the frame
+    /// does not carry is reset first, so the result equals a fresh
+    /// [`UeReport::decode`] whatever `self` held. On error `self` is left
+    /// partially filled.
+    pub(crate) fn decode_into(&mut self, data: &[u8]) -> Result<()> {
+        self.reset();
+        let m = self;
         let mut r = WireReader::new(data);
         while let Some((f, v)) = r.next_field()? {
             match f {
@@ -245,14 +260,14 @@ impl UeReport {
                 3 => m.slice = v.as_u64()? as u8,
                 4 => m.priority_group = v.as_u64()? as u8,
                 5 => m.wideband_cqi = v.as_u64()? as u8,
-                6 => m.subband_cqi = v.as_packed_uints()?,
-                7 => m.bsr = v.as_packed_uints()?,
+                6 => v.packed_uints_into(&mut m.subband_cqi)?,
+                7 => v.packed_uints_into(&mut m.bsr)?,
                 8 => m.phr_db = v.as_i64_zigzag()?,
                 9 => m.rlc.push(RlcReport::decode(v.as_bytes()?)?),
                 10 => m.pending_mac_ces = v.as_u32()?,
-                11 => m.harq_states = v.as_packed_uints()?,
+                11 => v.packed_uints_into(&mut m.harq_states)?,
                 12 => m.ul_sinr_decidb = v.as_i64_zigzag()?,
-                13 => m.ul_subband_sinr = v.as_packed_uints()?,
+                13 => v.packed_uints_into(&mut m.ul_subband_sinr)?,
                 14 => m.rsrp_decidbm = v.as_i64_zigzag()?,
                 15 => m.rsrq_decidb = v.as_i64_zigzag()?,
                 16 => m.pdcp_tx_bytes = v.as_u64()?,
@@ -264,58 +279,78 @@ impl UeReport {
                 22 => m.avg_rate_bps = v.as_u64()?,
                 23 => m.last_mcs = v.as_u64()? as u8,
                 24 => m.cqi_timestamp = v.as_u64()?,
-                25 => m.subband_cqi_cw1 = v.as_packed_uints()?,
-                26 => m.harq_rounds = v.as_packed_uints()?,
-                27 => m.tbs_per_process = v.as_packed_uints()?,
+                25 => v.packed_uints_into(&mut m.subband_cqi_cw1)?,
+                26 => v.packed_uints_into(&mut m.harq_rounds)?,
+                27 => v.packed_uints_into(&mut m.tbs_per_process)?,
                 28 => m.pusch_power_decidbm = v.as_i64_zigzag()?,
                 29 => m.pucch_power_decidbm = v.as_i64_zigzag()?,
                 30 => m.pdcp_rx_bytes = v.as_u64()?,
                 31 => m.pdcp_rx_sn = v.as_u32()?,
                 32 => m.cell = (v.as_u64()?.saturating_sub(1)) as u16,
-                33 => m.active_scells = v.as_packed_uints()?,
+                33 => v.packed_uints_into(&mut m.active_scells)?,
                 _ => {}
             }
         }
-        Ok(m)
+        Ok(())
     }
 
-    /// Build a report from data-plane statistics.
-    ///
-    /// Subband arrays are filled from the wideband measurement — the PHY
-    /// abstraction has no frequency selectivity (`DESIGN.md` §7) but the
-    /// fields keep their real on-wire footprint.
+    /// Reset every field to its default, keeping the vectors'
+    /// allocations (a default report owns no heap memory).
+    fn reset(&mut self) {
+        self.clone_from(&UeReport::default());
+    }
+
+    /// Build a report from data-plane statistics (a fresh
+    /// [`UeReport::from_stats_into`]).
     pub fn from_stats(
         s: &flexran_stack::stats::UeStats,
         cell: flexran_types::ids::CellId,
         flags: ReportFlags,
     ) -> UeReport {
+        let mut rep = UeReport::default();
+        rep.from_stats_into(s, cell, flags);
+        rep
+    }
+
+    /// Refill `self` from data-plane statistics, reusing its vectors:
+    /// the agent's report compose path, run once per UE per report.
+    ///
+    /// Subband arrays are filled from the wideband measurement — the PHY
+    /// abstraction has no frequency selectivity (`DESIGN.md` §7) but the
+    /// fields keep their real on-wire footprint.
+    pub fn from_stats_into(
+        &mut self,
+        s: &flexran_stack::stats::UeStats,
+        cell: flexran_types::ids::CellId,
+        flags: ReportFlags,
+    ) {
         let n_subbands = 13; // 50-PRB bandwidth → 13 subbands (TS 36.213)
-        let mut rep = UeReport {
-            rnti: s.rnti.0,
-            cell: cell.0,
-            connected: s.connected,
-            slice: s.slice.0,
-            priority_group: s.priority_group,
-            active_scells: s.active_scells.iter().map(|c| *c as u64).collect(),
-            ..UeReport::default()
-        };
+        self.reset();
+        let rep = self;
+        rep.rnti = s.rnti.0;
+        rep.cell = cell.0;
+        rep.connected = s.connected;
+        rep.slice = s.slice.0;
+        rep.priority_group = s.priority_group;
+        rep.active_scells
+            .extend(s.active_scells.iter().map(|c| *c as u64));
         if flags.contains(ReportFlags::CQI) {
             rep.wideband_cqi = s.cqi.0;
-            rep.subband_cqi = vec![s.cqi.0 as u64; n_subbands];
-            rep.subband_cqi_cw1 = vec![s.cqi.0 as u64; n_subbands];
+            rep.subband_cqi.resize(n_subbands, s.cqi.0 as u64);
+            rep.subband_cqi_cw1.resize(n_subbands, s.cqi.0 as u64);
             rep.cqi_timestamp = s.cqi_updated.0;
             let decidb = (s.sinr_db.clamp(-70.0, 70.0) * 10.0) as i64;
             rep.ul_sinr_decidb = decidb;
             // Uplink SINR per resource-block group (25 RBGs at 50 PRB).
-            rep.ul_subband_sinr = vec![(decidb + 700).max(0) as u64; 25];
+            rep.ul_subband_sinr.resize(25, (decidb + 700).max(0) as u64);
         }
         if flags.contains(ReportFlags::BSR) {
             let idx = flexran_stack::mac::bsr::bsr_index(s.ul_bsr_bytes.as_u64()) as u64;
-            rep.bsr = vec![idx, 0, 0, 0];
+            rep.bsr.extend_from_slice(&[idx, 0, 0, 0]);
             rep.phr_db = 20;
         }
         if flags.contains(ReportFlags::RLC) {
-            rep.rlc = vec![
+            rep.rlc.extend_from_slice(&[
                 RlcReport {
                     lcid: 1,
                     tx_queue_bytes: s.srb_queue_bytes.as_u64(),
@@ -328,7 +363,7 @@ impl UeReport {
                     hol_delay_ms: s.hol_delay_ms,
                     status_pdu_bytes: 0,
                 },
-            ];
+            ]);
         }
         if flags.contains(ReportFlags::PDCP) {
             rep.pdcp_tx_bytes = s.dl_delivered_bits / 8;
@@ -345,8 +380,8 @@ impl UeReport {
             rep.pucch_power_decidbm = -50;
         }
         if flags.contains(ReportFlags::HARQ) {
-            rep.harq_states = vec![0; 8];
-            rep.harq_rounds = vec![0; 8];
+            rep.harq_states.resize(8, 0);
+            rep.harq_rounds.resize(8, 0);
             let tb = flexran_phy::tables::tbs_bits(
                 flexran_phy::tables::itbs_for_mcs(
                     flexran_phy::link_adaptation::mcs_for_cqi(s.cqi).0,
@@ -354,7 +389,7 @@ impl UeReport {
                 10,
             ) as u64
                 / 8;
-            rep.tbs_per_process = vec![tb; 8];
+            rep.tbs_per_process.resize(8, tb);
             rep.harq_tx = s.harq_tx;
             rep.harq_retx = s.harq_retx;
         }
@@ -362,7 +397,88 @@ impl UeReport {
             rep.rsrp_decidbm = (s.sinr_db.clamp(-70.0, 70.0) * 10.0) as i64 - 950;
             rep.rsrq_decidb = -105;
         }
-        rep
+    }
+}
+
+impl Clone for UeReport {
+    fn clone(&self) -> Self {
+        let mut out = UeReport::default();
+        out.clone_from(self);
+        out
+    }
+
+    /// Field-wise copy that reuses `self`'s vectors (`Vec::clone_from`).
+    /// The destructuring is exhaustive: a new field that is not copied
+    /// here is a compile error.
+    fn clone_from(&mut self, source: &Self) {
+        let UeReport {
+            rnti,
+            cell,
+            connected,
+            slice,
+            priority_group,
+            wideband_cqi,
+            subband_cqi,
+            bsr,
+            phr_db,
+            rlc,
+            pending_mac_ces,
+            harq_states,
+            ul_sinr_decidb,
+            ul_subband_sinr,
+            rsrp_decidbm,
+            rsrq_decidb,
+            pdcp_tx_bytes,
+            pdcp_tx_sn,
+            dl_tbs_bits_total,
+            ul_tbs_bits_total,
+            harq_tx,
+            harq_retx,
+            avg_rate_bps,
+            last_mcs,
+            cqi_timestamp,
+            subband_cqi_cw1,
+            harq_rounds,
+            tbs_per_process,
+            pusch_power_decidbm,
+            pucch_power_decidbm,
+            pdcp_rx_bytes,
+            pdcp_rx_sn,
+            active_scells,
+        } = self;
+        *rnti = source.rnti;
+        *cell = source.cell;
+        *connected = source.connected;
+        *slice = source.slice;
+        *priority_group = source.priority_group;
+        *wideband_cqi = source.wideband_cqi;
+        subband_cqi.clone_from(&source.subband_cqi);
+        bsr.clone_from(&source.bsr);
+        *phr_db = source.phr_db;
+        rlc.clone_from(&source.rlc);
+        *pending_mac_ces = source.pending_mac_ces;
+        harq_states.clone_from(&source.harq_states);
+        *ul_sinr_decidb = source.ul_sinr_decidb;
+        ul_subband_sinr.clone_from(&source.ul_subband_sinr);
+        *rsrp_decidbm = source.rsrp_decidbm;
+        *rsrq_decidb = source.rsrq_decidb;
+        *pdcp_tx_bytes = source.pdcp_tx_bytes;
+        *pdcp_tx_sn = source.pdcp_tx_sn;
+        *dl_tbs_bits_total = source.dl_tbs_bits_total;
+        *ul_tbs_bits_total = source.ul_tbs_bits_total;
+        *harq_tx = source.harq_tx;
+        *harq_retx = source.harq_retx;
+        *avg_rate_bps = source.avg_rate_bps;
+        *last_mcs = source.last_mcs;
+        *cqi_timestamp = source.cqi_timestamp;
+        subband_cqi_cw1.clone_from(&source.subband_cqi_cw1);
+        harq_rounds.clone_from(&source.harq_rounds);
+        tbs_per_process.clone_from(&source.tbs_per_process);
+        *pusch_power_decidbm = source.pusch_power_decidbm;
+        *pucch_power_decidbm = source.pucch_power_decidbm;
+        *pdcp_rx_bytes = source.pdcp_rx_bytes;
+        *pdcp_rx_sn = source.pdcp_rx_sn;
+        active_scells.clone_from(&source.active_scells);
     }
 }
 
@@ -442,19 +558,42 @@ impl StatsReply {
         }
     }
 
-    pub(crate) fn decode(data: &[u8]) -> Result<StatsReply> {
-        let mut m = StatsReply::default();
+    /// Decode into `self`, reusing `cells`, the `ues` entries and each
+    /// UE's vectors: the master's per-session receive slot refills one
+    /// reply per report without touching the heap at steady state. The
+    /// result equals a decode into a default reply whatever `self` held
+    /// (surplus UE entries are truncated). On error `self` is left
+    /// partially filled.
+    pub(crate) fn decode_into(&mut self, data: &[u8]) -> Result<()> {
+        let StatsReply {
+            enb_id,
+            tti,
+            cells,
+            ues,
+        } = self;
+        *enb_id = EnbId::default();
+        *tti = 0;
+        cells.clear();
+        let mut n_ues = 0;
         let mut r = WireReader::new(data);
         while let Some((f, v)) = r.next_field()? {
             match f {
-                1 => m.enb_id = EnbId(v.as_u32()?),
-                2 => m.tti = v.as_u64()?,
-                3 => m.cells.push(CellReport::decode(v.as_bytes()?)?),
-                4 => m.ues.push(UeReport::decode(v.as_bytes()?)?),
+                1 => *enb_id = EnbId(v.as_u32()?),
+                2 => *tti = v.as_u64()?,
+                3 => cells.push(CellReport::decode(v.as_bytes()?)?),
+                4 => {
+                    let bytes = v.as_bytes()?;
+                    match ues.get_mut(n_ues) {
+                        Some(u) => u.decode_into(bytes)?,
+                        None => ues.push(UeReport::decode(bytes)?),
+                    }
+                    n_ues += 1;
+                }
                 _ => {}
             }
         }
-        Ok(m)
+        ues.truncate(n_ues);
+        Ok(())
     }
 }
 

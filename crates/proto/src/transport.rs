@@ -28,7 +28,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::mpsc;
 
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use flexran_types::{FlexError, Result};
 
 use crate::category::ByteCounters;
@@ -41,8 +41,19 @@ pub trait Transport: Send {
     /// Queue a message for the peer.
     fn send(&mut self, header: Header, msg: &FlexranMessage) -> Result<()>;
 
-    /// Next message from the peer, if one has arrived.
-    fn try_recv(&mut self) -> Result<Option<(Header, FlexranMessage)>>;
+    /// Next message from the peer, if one has arrived, decoded into
+    /// `slot` (see [`FlexranMessage::decode_into`]: a `StatsReply` slot
+    /// is refilled in place, reusing its buffers). Returns the message's
+    /// header. `slot` is untouched on `Ok(None)` and unspecified on
+    /// `Err`.
+    fn try_recv_into(&mut self, slot: &mut FlexranMessage) -> Result<Option<Header>>;
+
+    /// Next message from the peer as an owned value: a
+    /// [`Transport::try_recv_into`] on a fresh slot.
+    fn try_recv(&mut self) -> Result<Option<(Header, FlexranMessage)>> {
+        let mut slot = FlexranMessage::default();
+        Ok(self.try_recv_into(&mut slot)?.map(|header| (header, slot)))
+    }
 
     /// Bytes sent so far, by category (wire size including framing).
     fn tx_counters(&self) -> ByteCounters;
@@ -115,7 +126,7 @@ impl Transport for ChannelTransport {
             .map_err(|_| FlexError::Transport("peer endpoint dropped".into()))
     }
 
-    fn try_recv(&mut self) -> Result<Option<(Header, FlexranMessage)>> {
+    fn try_recv_into(&mut self, slot: &mut FlexranMessage) -> Result<Option<Header>> {
         // Drain the channel into the local queue first so counters stay
         // accurate even if the peer has already hung up.
         while let Ok(m) = self.rx.try_recv() {
@@ -124,10 +135,10 @@ impl Transport for ChannelTransport {
         let Some(bytes) = self.queue.pop_front() else {
             return Ok(None);
         };
-        let (header, msg) = FlexranMessage::decode(&bytes)?;
+        let header = FlexranMessage::decode_into(&bytes, slot)?;
         self.rx_counters
-            .add(msg.category(), bytes.len() as u64 + FRAME_OVERHEAD_BYTES);
-        Ok(Some((header, msg)))
+            .add(slot.category(), bytes.len() as u64 + FRAME_OVERHEAD_BYTES);
+        Ok(Some(header))
     }
 
     fn tx_counters(&self) -> ByteCounters {
@@ -195,6 +206,27 @@ impl TcpTransport {
         self.peer_closed
     }
 
+    /// The next complete frame off the socket, if one has arrived.
+    fn recv_frame(&mut self) -> Result<Option<Bytes>> {
+        self.fill_from_socket()?;
+        let Some(frame) = self.decoder.next_frame()? else {
+            // Once the peer has closed, no further bytes can ever arrive,
+            // so surface an error whether the decoder is empty or holds a
+            // truncated frame — returning `Ok(None)` with leftover bytes
+            // would make the owner poll silence forever.
+            if self.peer_closed {
+                let truncated = self.decoder.buffered();
+                return Err(FlexError::Transport(if truncated == 0 {
+                    "connection closed by peer".into()
+                } else {
+                    format!("connection closed by peer mid-frame ({truncated} bytes truncated)")
+                }));
+            }
+            return Ok(None);
+        };
+        Ok(Some(frame))
+    }
+
     fn fill_from_socket(&mut self) -> Result<()> {
         loop {
             match self.stream.read(&mut self.read_buf) {
@@ -252,27 +284,15 @@ impl Transport for TcpTransport {
         Ok(())
     }
 
-    fn try_recv(&mut self) -> Result<Option<(Header, FlexranMessage)>> {
-        self.fill_from_socket()?;
-        let Some(frame) = self.decoder.next_frame()? else {
-            // Once the peer has closed, no further bytes can ever arrive,
-            // so surface an error whether the decoder is empty or holds a
-            // truncated frame — returning `Ok(None)` with leftover bytes
-            // would make the owner poll silence forever.
-            if self.peer_closed {
-                let truncated = self.decoder.buffered();
-                return Err(FlexError::Transport(if truncated == 0 {
-                    "connection closed by peer".into()
-                } else {
-                    format!("connection closed by peer mid-frame ({truncated} bytes truncated)")
-                }));
-            }
+    fn try_recv_into(&mut self, slot: &mut FlexranMessage) -> Result<Option<Header>> {
+        // lint:allow(alloc-reach) the stream decoder splits each frame off as its own buffer; errors are formatted
+        let Some(frame) = self.recv_frame()? else {
             return Ok(None);
         };
-        let (header, msg) = FlexranMessage::decode(&frame)?;
+        let header = FlexranMessage::decode_into(&frame, slot)?;
         self.rx_counters
-            .add(msg.category(), frame.len() as u64 + FRAME_OVERHEAD_BYTES);
-        Ok(Some((header, msg)))
+            .add(slot.category(), frame.len() as u64 + FRAME_OVERHEAD_BYTES);
+        Ok(Some(header))
     }
 
     fn tx_counters(&self) -> ByteCounters {
@@ -457,14 +477,15 @@ impl Transport for ReconnectingTcpTransport {
         }
     }
 
-    fn try_recv(&mut self) -> Result<Option<(Header, FlexranMessage)>> {
+    fn try_recv_into(&mut self, slot: &mut FlexranMessage) -> Result<Option<Header>> {
+        // lint:allow(alloc-reach) redials only after a connection loss, paced by the backoff
         if !self.try_reconnect() {
             return Ok(None);
         }
         let Some(inner) = self.inner.as_mut() else {
             return Ok(None);
         };
-        match inner.try_recv() {
+        match inner.try_recv_into(slot) {
             Ok(m) => Ok(m),
             Err(_) => {
                 // Peer close / reset: become silent and redial, rather

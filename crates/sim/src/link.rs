@@ -23,7 +23,7 @@ use flexran_proto::transport::{Transport, FRAME_OVERHEAD_BYTES};
 use flexran_proto::wire::WireWriter;
 use flexran_types::time::Tti;
 use flexran_types::units::BitRate;
-use flexran_types::{FlexError, Result};
+use flexran_types::Result;
 
 use crate::clock::VirtualClock;
 
@@ -591,15 +591,16 @@ impl Transport for SimTransport {
         Ok(())
     }
 
-    fn try_recv(&mut self) -> Result<Option<(Header, FlexranMessage)>> {
+    fn try_recv_into(&mut self, slot: &mut FlexranMessage) -> Result<Option<Header>> {
         let Some(payload) = self.inc.lock().pop_due(self.clock.now()) else {
             return Ok(None);
         };
-        let (header, msg) = FlexranMessage::decode(&payload)
-            .map_err(|e| FlexError::Transport(format!("undecodable frame on sim link: {e}")))?;
+        // A corrupted, truncated or garbage frame is consumed and surfaces
+        // as the decoder's `Codec` error, like on the other transports.
+        let header = FlexranMessage::decode_into(&payload, slot)?;
         self.rx_counters
-            .add(msg.category(), payload.len() as u64 + FRAME_OVERHEAD_BYTES);
-        Ok(Some((header, msg)))
+            .add(slot.category(), payload.len() as u64 + FRAME_OVERHEAD_BYTES);
+        Ok(Some(header))
     }
 
     fn tx_counters(&self) -> ByteCounters {

@@ -250,3 +250,48 @@ fn multi_cell_enb_serves_both_cells() {
         assert!(agent.enb().cell_stats(cell).unwrap().dl_prbs_used > 0);
     }
 }
+
+#[test]
+fn master_counts_undecodable_frames() {
+    use flexran::sim::link::{FaultConfig, FaultHandle, WireFaults};
+
+    let mut sim = SimHarness::new(SimConfig::default());
+    let faults = FaultHandle::new(5);
+    let enb = sim.add_enb_with_faults(
+        EnbConfig::single_cell(EnbId(1)),
+        AgentConfig::default(),
+        EnbParams::default(),
+        None,
+        faults.clone(),
+    );
+    sim.add_ue(enb, CellId(0), SliceId::MNO, 0, UeRadioSpec::FixedCqi(10));
+    sim.run(5);
+    subscribe_all(&mut sim, enb, 1);
+    sim.run(20);
+    assert_eq!(sim.master().liveness_stats().undecodable_frames, 0);
+
+    // Every delivered frame, stats replies included, now drags a garbage
+    // frame behind it. The master counts each one it reads and keeps
+    // folding the real reports.
+    faults.set_config(FaultConfig {
+        wire: Some(WireFaults {
+            insert_prob: 1.0,
+            ..WireFaults::default()
+        }),
+        ..FaultConfig::default()
+    });
+    sim.run(20);
+    let undecodable = sim.master().liveness_stats().undecodable_frames;
+    assert!(
+        undecodable >= 19,
+        "only {undecodable} garbage frames counted"
+    );
+    assert!(undecodable <= faults.injected_frames());
+    let view = sim.master().view();
+    let cell = view.cell(enb, CellId(0)).expect("cell in the RIB");
+    assert_eq!(cell.ues().len(), 1);
+    assert!(
+        cell.ues()[0].updated.0 >= sim.now().0 - 2,
+        "reports stalled"
+    );
+}
