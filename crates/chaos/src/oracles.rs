@@ -292,10 +292,11 @@ impl Oracles {
     fn check_shard_ownership(&mut self, sim: &SimHarness, enb: EnbId, now: u64) {
         let master = sim.master();
         let resident: Vec<usize> = master
-            .shards()
+            .ribs()
             .iter()
-            .filter(|s| s.rib().agent(enb).is_some())
-            .map(|s| s.index())
+            .enumerate()
+            .filter(|(_, rib)| rib.agent(enb).is_some())
+            .map(|(idx, _)| idx)
             .collect();
         match master.shard_of(enb) {
             Some(owner) if resident == [owner] => {}

@@ -300,8 +300,8 @@ pub struct BundleAck {
 /// What the master must do for the rollout this cycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RolloutAction {
-    /// Push `bundle` to `enb` (routed through the owning shard's
-    /// mailbox, like every other cross-shard command).
+    /// Push `bundle` to `enb` (sent on the owning shard's session at the
+    /// cycle barrier, like every staged command).
     Push { enb: EnbId, bundle: ConfigBundle },
 }
 

@@ -21,8 +21,10 @@
 //!   that lets a restarted master rebuild the RIB and reconcile via
 //!   agent re-sync.
 //! * [`shard`] — the partitioned control plane: RIB shards owning
-//!   agents by id, each with its own single-writer updater and journal
-//!   segment, plus the typed cross-shard mailbox.
+//!   agents by id, each with its own single-writer updater, journal
+//!   segment and sessions. Each shard's RIB slot writes only its own
+//!   forest; commands cross shards only at the master's serial barrier,
+//!   sent straight on the owning shard's session.
 //! * [`config`] — versioned fleet configuration: the signed bundle
 //!   store and the KPI-gated canary rollout state machine with
 //!   automatic rollback (DESIGN.md §11).
@@ -40,12 +42,10 @@ pub use config::{
     RolloutEvent, RolloutEventKind, RolloutPhase, RolloutStatus,
 };
 pub use journal::{RecoveredState, RibJournal};
-pub use master::{
-    CycleAccounting, CycleStats, MasterController, SessionLivenessStats, TaskManagerConfig,
-};
+pub use master::{CycleAccounting, MasterController, SessionLivenessStats, TaskManagerConfig};
 pub use northbound::{
     App, AppRegistry, ConflictGuard, ControlHandle, Northbound, Priority, RibView,
 };
 pub use rib::{AgentNode, CellNode, Rib, UeNode};
-pub use shard::{merged_rib, CrossShardMsg, RibShard};
+pub use shard::{merged_rib, RibShard};
 pub use updater::{NotifiedEvent, RibUpdater};

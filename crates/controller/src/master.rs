@@ -16,17 +16,18 @@
 //! pool. The shard count is a constructor argument:
 //! [`MasterController::new`] builds the classic one-shard master, and
 //! [`MasterController::with_shards`] is what a harness with `n` engine
-//! workers uses. A cycle is three steps:
+//! workers uses. Each shard's RIB forest sits in a `Vec<Rib>` beside the
+//! shards. A cycle is three steps:
 //!
 //! 1. [`MasterController::begin_cycle`] — serial: route limbo sessions
 //!    (attached but not yet hello'd) to their owning shards.
-//! 2. [`RibShard::run_rib_slot`] per shard — parallelizable: drain the
-//!    shard's sessions through its single writer.
+//! 2. [`RibShard::run_rib_slot`] per (shard, forest) pair —
+//!    parallelizable: drain the shard's sessions through its single
+//!    writer into its own forest.
 //! 3. [`MasterController::finish_cycle`] — serial barrier: merge the
 //!    shards' event streams in agent-index order, run the apps slot
-//!    against the shard-transparent [`Northbound`] facade, and route
-//!    staged commands (and cross-shard handover notices) through the
-//!    per-shard mailboxes.
+//!    against the shard-transparent [`Northbound`] facade, and send the
+//!    staged commands and rollout pushes on the owning shards' sessions.
 //!
 //! [`MasterController::run_cycle`] performs all three in order — the
 //! serial execution every existing caller gets, bit-identical to the
@@ -59,7 +60,7 @@ use crate::config::{
 use crate::journal::{encode_segments, split_segments, RibJournal};
 use crate::northbound::{App, AppRegistry, Northbound, RibView};
 use crate::rib::Rib;
-use crate::shard::{merged_rib, owner_of, CrossShardMsg, ReplayOp, RibShard, Session, TaggedEvent};
+use crate::shard::{merged_rib, owner_of, ReplayOp, RibShard, Session, TaggedEvent};
 
 /// Task Manager configuration.
 #[derive(Debug, Clone, Copy)]
@@ -113,13 +114,6 @@ pub struct SessionLivenessStats {
     pub undecodable_frames: u64,
 }
 
-/// Wall-clock accounting of one cycle.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CycleStats {
-    pub rib_slot: Duration,
-    pub apps_slot: Duration,
-}
-
 /// Accumulated accounting across cycles (Fig. 8's series).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CycleAccounting {
@@ -157,6 +151,9 @@ pub struct MasterController {
     /// The partitioned control plane. Shard index is stable for the
     /// master's lifetime; `owner` maps each known agent to its shard.
     shards: Vec<RibShard>,
+    /// Each shard's RIB forest, at the shard's index: only the shard's
+    /// RIB slot writes it, and the northbound reads all of them.
+    ribs: Vec<Rib>,
     owner: BTreeMap<EnbId, usize>,
     /// Attached sessions that have not introduced themselves yet — they
     /// belong to no shard until their `Hello` names an agent.
@@ -178,9 +175,6 @@ pub struct MasterController {
     /// Next session attach index (the shard-count-invariant global order
     /// used for event merging and session-enumeration APIs).
     next_global_idx: u32,
-    /// Handovers whose source and target agents live in different shards
-    /// (each also posts a [`CrossShardMsg::HandoverNotice`]).
-    cross_shard_handovers: u64,
     /// RIB-slot stopwatch, armed by `begin_cycle`, read by `finish_cycle`.
     cycle_start: Option<Instant>,
     /// Deadline monitor over whole cycles (RIB slot + apps slot) against
@@ -215,6 +209,7 @@ impl MasterController {
         MasterController {
             config,
             shards: (0..n).map(|i| RibShard::new(i, n, &config)).collect(),
+            ribs: (0..n).map(|_| Rib::new()).collect(),
             owner: BTreeMap::new(),
             limbo: Vec::new(),
             apps: AppRegistry::new(),
@@ -225,7 +220,6 @@ impl MasterController {
             pending_replay: BTreeMap::new(),
             recovered: false,
             next_global_idx: 0,
-            cross_shard_handovers: 0,
             cycle_start: None,
             budget: TtiBudget::new(config.tti_budget_ns),
             rollout_state: Vec::new(),
@@ -270,16 +264,18 @@ impl MasterController {
                 // (and recovery-time TTIs would violate the
                 // monotonic-epoch assertion anyway).
                 let idx = master.assign_owner(r.enb);
-                let Some(shard) = master.shards.get_mut(idx) else {
+                let (Some(shard), Some(rib)) =
+                    (master.shards.get_mut(idx), master.ribs.get_mut(idx))
+                else {
                     continue;
                 };
-                shard.updater.apply(&mut shard.rib, r.enb, &r.msg, r.tti);
+                shard.updater.apply(rib, r.enb, &r.msg, r.tti);
             }
         }
-        for shard in &mut master.shards {
-            let recovered_agents: Vec<EnbId> = shard.rib.agents().map(|a| a.enb_id).collect();
+        for (shard, rib) in master.shards.iter_mut().zip(&mut master.ribs) {
+            let recovered_agents: Vec<EnbId> = rib.agents().map(|a| a.enb_id).collect();
             for enb in recovered_agents {
-                shard.updater.agent_down(&mut shard.rib, enb, now);
+                shard.updater.agent_down(rib, enb, now);
             }
         }
         for state in &states {
@@ -301,9 +297,9 @@ impl MasterController {
                 }
             }
         }
-        for shard in &mut master.shards {
+        for (shard, rib) in master.shards.iter_mut().zip(&master.ribs) {
             if let Some(journal) = shard.journal.as_mut() {
-                journal.compact(&shard.rib);
+                journal.compact(rib);
             }
         }
         // Resume the fleet rollout state machine from the last rollout
@@ -397,26 +393,29 @@ impl MasterController {
     /// Shard-transparent read view over the whole control plane (what
     /// the apps slot sees).
     pub fn view(&self) -> RibView<'_> {
-        RibView::sharded(self.now, &self.shards).with_budget(self.budget.stats())
+        RibView::sharded(self.now, &self.ribs).with_budget(self.budget.stats())
     }
 
     /// Clone-merge the shard forests into one owned RIB snapshot
     /// (recovery golden tests, debug digests, diagnostics — not a hot
     /// path; readers on the hot path use [`MasterController::view`]).
     pub fn merged_rib(&self) -> Rib {
-        merged_rib(&self.shards)
+        merged_rib(&self.ribs)
     }
 
-    /// The RIB shards, in shard-index order.
-    pub fn shards(&self) -> &[RibShard] {
-        &self.shards
+    /// The shards' RIB forests, in shard-index order (shard `i` writes
+    /// `ribs()[i]` only).
+    pub fn ribs(&self) -> &[Rib] {
+        &self.ribs
     }
 
-    /// Mutable shard access for harnesses that fan the per-shard RIB
-    /// slots out on a worker pool between [`MasterController::begin_cycle`]
-    /// and [`MasterController::finish_cycle`].
-    pub fn shards_mut(&mut self) -> &mut [RibShard] {
-        &mut self.shards
+    /// The shards and their forests, index for index, for harnesses
+    /// that fan the per-shard RIB slots out on a worker pool between
+    /// [`MasterController::begin_cycle`] and
+    /// [`MasterController::finish_cycle`]: zip them and call
+    /// [`RibShard::run_rib_slot`] on each pair.
+    pub fn rib_slots_mut(&mut self) -> (&mut [RibShard], &mut [Rib]) {
+        (&mut self.shards, &mut self.ribs)
     }
 
     pub fn n_shards(&self) -> usize {
@@ -426,12 +425,6 @@ impl MasterController {
     /// Which shard owns `enb`, if the agent is known.
     pub fn shard_of(&self, enb: EnbId) -> Option<usize> {
         self.owner.get(&enb).copied()
-    }
-
-    /// Handovers observed whose source and target agents live in
-    /// different shards (zero in single-shard runs by construction).
-    pub fn cross_shard_handovers(&self) -> u64 {
-        self.cross_shard_handovers
     }
 
     pub fn accounting(&self) -> CycleAccounting {
@@ -548,7 +541,7 @@ impl MasterController {
         if let Some(journal) = shard.journal.as_mut() {
             journal.record_replay(enb, &op.to_message());
         }
-        if let Some(session) = shard.sessions.iter_mut().find(|s| s.enb_id == Some(enb)) {
+        if let Some(session) = shard.session_mut(enb) {
             session.replay.push(op);
         }
     }
@@ -698,11 +691,11 @@ impl MasterController {
     /// Serial barrier after the per-shard RIB slots: merge the shards'
     /// event streams (agent-index order — bit-identical to the old
     /// serial loop for every shard count), run the apps slot against the
-    /// shard-transparent facade, route staged commands through the
-    /// cross-shard mailboxes, and account the cycle.
+    /// shard-transparent facade, send the staged commands on the owning
+    /// shards' sessions, and account the cycle.
     // lint:no-alloc — per-TTI merge + apps slot; steady state is heap-free
     // lint:serial-only — must never run inside a shard's RIB slot
-    pub fn finish_cycle(&mut self, now: Tti) -> CycleStats {
+    pub fn finish_cycle(&mut self, now: Tti) {
         self.rehome_sessions();
         let rib_slot = self
             .cycle_start
@@ -725,51 +718,26 @@ impl MasterController {
         // session-attach order, exactly the serial loop's emission order.
         events.sort_by_key(|e| (e.phase, e.order));
         for app in self.apps.iter_mut() {
-            let view = RibView::sharded(now, &self.shards).with_budget(self.budget.stats());
+            let view = RibView::sharded(now, &self.ribs).with_budget(self.budget.stats());
             let mut ctl = self.nb.control();
             for ev in &events {
                 app.on_event(&ev.event, &view, &mut ctl);
             }
             app.on_cycle(&view, &mut ctl);
         }
-        // Route staged commands to the owning shards' mailboxes. A
-        // handover whose target agent lives in another shard additionally
-        // posts a coordination notice to that shard.
-        for (enb, header, msg) in self.nb.take_staged() {
-            if let FlexranMessage::HandoverCommand(cmd) = &msg {
-                let src = self.owner.get(&enb).copied();
-                let dst = self.owner.get(&EnbId(cmd.target_enb)).copied();
-                if let (Some(src), Some(dst)) = (src, dst) {
-                    if src != dst {
-                        self.cross_shard_handovers += 1;
-                        if let Some(shard) = self.shards.get_mut(dst) {
-                            shard.mailbox.push(CrossShardMsg::HandoverNotice {
-                                from: enb,
-                                to: EnbId(cmd.target_enb),
-                            });
-                        }
-                    }
-                }
-            }
-            let Some(&idx) = self.owner.get(&enb) else {
-                // No session ever introduced itself as this agent — the
-                // command has nowhere to go (same as the pre-sharding
-                // dispatch loop).
-                continue;
-            };
-            if let Some(shard) = self.shards.get_mut(idx) {
-                shard
-                    .mailbox
-                    .push(CrossShardMsg::Command { enb, header, msg });
+        // Send the staged commands, in staging order, on the owning
+        // shards' sessions. A command for an agent no session ever
+        // introduced itself as has nowhere to go and is dropped.
+        for (enb, header, msg) in self.nb.drain_staged() {
+            if let Some(session) = owned_session(&mut self.shards, &self.owner, enb) {
+                // lint:allow(alloc-reach) staged command send — command-driven
+                let _ = session.transport.send(header, &msg);
             }
         }
         // Fleet rollout step: gated on engagement so the pre-rollout
         // per-cycle cost is zero (and heap-free).
         if self.nb.rollout().is_engaged() {
             self.step_rollout(now);
-        }
-        for shard in &mut self.shards {
-            shard.drain_mailbox();
         }
         // Old scheduling claims can never conflict again.
         self.nb.expire_claims_before(Tti(now.0.saturating_sub(200)));
@@ -779,18 +747,13 @@ impl MasterController {
         self.accounting.rib_total += rib_slot;
         self.accounting.apps_total += apps_slot;
         self.budget.record((rib_slot + apps_slot).as_nanos() as u64);
-        CycleStats {
-            rib_slot,
-            apps_slot,
-        }
     }
 
     /// One write cycle's worth of fleet-rollout work: assemble the KPI
     /// sample (ascending agent id — deterministic for every shard
     /// layout), drain the shards' bundle acks, advance the state machine
-    /// by at most one transition, route its pushes through the owning
-    /// shards' mailboxes (drained right after, same cycle), and journal
-    /// the state whenever it transitions.
+    /// by at most one transition, send its pushes on the owning shards'
+    /// sessions, and journal the state whenever it transitions.
     // lint:serial-only — reads fleet-wide state across shards; barrier only
     fn step_rollout(&mut self, now: Tti) {
         self.kpi_scratch.clear();
@@ -804,11 +767,10 @@ impl MasterController {
         // `owner` iterates in ascending agent-id order; an agent known
         // from the journal but not yet re-attached samples as down.
         for (&enb, &idx) in &self.owner {
-            let Some(shard) = self.shards.get(idx) else {
+            let (Some(shard), Some(rib)) = (self.shards.get(idx), self.ribs.get(idx)) else {
                 continue;
             };
-            let goodput = shard
-                .rib
+            let goodput = rib
                 .agent(enb)
                 .map(|a| {
                     a.cells()
@@ -840,19 +802,15 @@ impl MasterController {
         for action in actions.drain(..) {
             let RolloutAction::Push { enb, bundle } = action;
             let xid = self.next_xid();
-            let Some(&idx) = self.owner.get(&enb) else {
-                continue;
-            };
-            if let Some(shard) = self.shards.get_mut(idx) {
+            if let Some(session) = owned_session(&mut self.shards, &self.owner, enb) {
                 // lint:allow(alloc-reach) bundle push — paced, rollout-only
-                shard.mailbox.push(CrossShardMsg::Command {
-                    enb,
-                    header: Header::with_xid(xid),
-                    msg: FlexranMessage::ConfigBundlePush(ConfigBundlePush {
+                let _ = session.transport.send(
+                    Header::with_xid(xid),
+                    &FlexranMessage::ConfigBundlePush(ConfigBundlePush {
                         enb_id: enb,
                         bundle,
                     }),
-                });
+                );
             }
         }
         self.action_scratch = actions;
@@ -919,12 +877,12 @@ impl MasterController {
     /// `finish_cycle`. Harnesses with a worker pool may instead fan the
     /// shard slots out between the two serial halves — the result is
     /// bit-identical.
-    pub fn run_cycle(&mut self, now: Tti) -> CycleStats {
+    pub fn run_cycle(&mut self, now: Tti) {
         self.begin_cycle(now);
-        for shard in &mut self.shards {
-            shard.run_rib_slot(now);
+        for (shard, rib) in self.shards.iter_mut().zip(&mut self.ribs) {
+            shard.run_rib_slot(rib, now);
         }
-        self.finish_cycle(now)
+        self.finish_cycle(now);
     }
 
     /// Real-time mode: run cycles paced at the configured TTI duration
@@ -946,6 +904,16 @@ impl MasterController {
             }
         }
     }
+}
+
+/// The session of agent `enb` on the shard `owner` assigned it. An
+/// agent with no owner entry never routed a session, so it has none.
+fn owned_session<'a>(
+    shards: &'a mut [RibShard],
+    owner: &BTreeMap<EnbId, usize>,
+    enb: EnbId,
+) -> Option<&'a mut Session> {
+    shards.get_mut(*owner.get(&enb)?)?.session_mut(enb)
 }
 
 /// Signing helper kept here so the controller crate does not depend on
@@ -1044,9 +1012,9 @@ mod tests {
         assert_eq!(master.shard_of(EnbId(3)), Some(1));
         // Each agent's subtree lives in exactly its owner's shard.
         for (enb, owner) in [(EnbId(1), 1), (EnbId(2), 0), (EnbId(3), 1)] {
-            for (idx, shard) in master.shards().iter().enumerate() {
+            for (idx, rib) in master.ribs().iter().enumerate() {
                 assert_eq!(
-                    shard.rib().agent(enb).is_some(),
+                    rib.agent(enb).is_some(),
                     idx == owner,
                     "agent {enb} must be resident only in shard {owner}"
                 );

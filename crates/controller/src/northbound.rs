@@ -40,7 +40,6 @@ use flexran_types::{FlexError, Result};
 
 use crate::config::{RolloutConfig, RolloutController, RolloutEvent, RolloutStatus};
 use crate::rib::{AgentNode, CellNode, Rib, UeNode};
-use crate::shard::RibShard;
 use crate::updater::NotifiedEvent;
 
 /// Application priority: higher runs earlier within the apps slot (the
@@ -148,14 +147,15 @@ impl Northbound {
 
     /// Commands staged so far this slot, in staging order (fixtures
     /// assert on these; the master drains them with
-    /// [`Northbound::take_staged`]).
+    /// [`Northbound::drain_staged`]).
     pub fn staged(&self) -> &[(EnbId, Header, FlexranMessage)] {
         &self.outbox
     }
 
-    /// Drain the staged commands for routing to the owning shards.
-    pub fn take_staged(&mut self) -> Vec<(EnbId, Header, FlexranMessage)> {
-        std::mem::take(&mut self.outbox)
+    /// Drain the staged commands, in staging order, for sending on the
+    /// owning shards' sessions. The outbox keeps its buffer.
+    pub fn drain_staged(&mut self) -> std::vec::Drain<'_, (EnbId, Header, FlexranMessage)> {
+        self.outbox.drain(..)
     }
 
     /// Conflicts refused so far.
@@ -221,16 +221,9 @@ impl Northbound {
     }
 }
 
-/// How a [`RibView`] reaches the forest: one RIB, or the union of the
-/// master's shards. Private — shard transparency is the point.
-#[derive(Clone, Copy)]
-enum Backing<'a> {
-    Single(&'a Rib),
-    Sharded(&'a [RibShard]),
-}
-
 /// The read capability handed to applications: master time plus the RIB
-/// forest, shard-transparent.
+/// forest, shard-transparent. It reads a slice of forests with disjoint
+/// agents — the master's per-shard forests, or one RIB.
 ///
 /// Copyable and `&self`-only — an application can fan it out to helper
 /// functions freely, and holding one grants no way to emit commands.
@@ -240,7 +233,7 @@ enum Backing<'a> {
 #[derive(Clone, Copy)]
 pub struct RibView<'a> {
     now: Tti,
-    backing: Backing<'a>,
+    ribs: &'a [Rib],
     /// Deadline-monitor snapshot carried from the master (all-zero for
     /// fixture views built with [`RibView::over`]).
     budget: BudgetStats,
@@ -249,11 +242,7 @@ pub struct RibView<'a> {
 impl<'a> RibView<'a> {
     /// A view over one plain RIB — fixtures and single-forest harnesses.
     pub fn over(now: Tti, rib: &'a Rib) -> Self {
-        RibView {
-            now,
-            backing: Backing::Single(rib),
-            budget: BudgetStats::default(),
-        }
+        RibView::sharded(now, std::slice::from_ref(rib))
     }
 
     /// Attach a deadline-monitor snapshot (the master does this when
@@ -263,11 +252,12 @@ impl<'a> RibView<'a> {
         self
     }
 
-    /// A view over the master's shards (the master mints these).
-    pub(crate) fn sharded(now: Tti, shards: &'a [RibShard]) -> Self {
+    /// A view over the master's per-shard forests (the master mints
+    /// these).
+    pub(crate) fn sharded(now: Tti, ribs: &'a [Rib]) -> Self {
         RibView {
             now,
-            backing: Backing::Sharded(shards),
+            ribs,
             budget: BudgetStats::default(),
         }
     }
@@ -286,10 +276,7 @@ impl<'a> RibView<'a> {
     }
 
     pub fn agent(&self, enb: EnbId) -> Option<&'a AgentNode> {
-        match self.backing {
-            Backing::Single(rib) => rib.agent(enb),
-            Backing::Sharded(shards) => shards.iter().find_map(|s| s.rib().agent(enb)),
-        }
+        self.ribs.iter().find_map(|rib| rib.agent(enb))
     }
 
     pub fn cell(&self, enb: EnbId, cell: CellId) -> Option<&'a CellNode> {
@@ -302,17 +289,12 @@ impl<'a> RibView<'a> {
 
     /// All agents, ascending by id regardless of shard layout.
     pub fn agents(&self) -> Vec<&'a AgentNode> {
-        match self.backing {
-            // lint:allow(alloc-reach) northbound snapshot query — off the RIB write path
-            Backing::Single(rib) => rib.agents().collect(),
-            Backing::Sharded(shards) => {
-                let mut all: Vec<&'a AgentNode> =
-                    // lint:allow(alloc-reach) northbound snapshot query — off the RIB write path
-                    shards.iter().flat_map(|s| s.rib().agents()).collect();
-                all.sort_by_key(|a| a.enb_id);
-                all
-            }
-        }
+        // lint:allow(alloc-reach) northbound snapshot query — off the RIB write path
+        let mut all: Vec<&'a AgentNode> = self.agents_unordered().collect();
+        // Ids are unique across forests, so the unstable sort is
+        // deterministic; one forest is already in order.
+        all.sort_unstable_by_key(|a| a.enb_id);
+        all
     }
 
     /// All agents, without collecting them: the per-TTI read for
@@ -321,68 +303,43 @@ impl<'a> RibView<'a> {
     /// order of [`RibView::agents`]; with more, agents come shard by
     /// shard.
     pub fn agents_unordered(&self) -> impl Iterator<Item = &'a AgentNode> + 'a {
-        let (single, shards): (Option<&'a Rib>, &'a [RibShard]) = match self.backing {
-            Backing::Single(rib) => (Some(rib), &[]),
-            Backing::Sharded(shards) => (None, shards),
-        };
-        single
-            .into_iter()
-            .chain(shards.iter().map(RibShard::rib))
-            .flat_map(|rib| rib.agents())
+        self.ribs.iter().flat_map(|rib| rib.agents())
     }
 
     pub fn n_agents(&self) -> usize {
-        match self.backing {
-            Backing::Single(rib) => rib.n_agents(),
-            Backing::Sharded(shards) => shards.iter().map(|s| s.rib().n_agents()).sum(),
-        }
+        self.ribs.iter().map(|rib| rib.n_agents()).sum()
     }
 
     /// All UEs across the forest, ascending by agent id.
     pub fn all_ues(&self) -> Vec<(EnbId, CellId, &'a UeNode)> {
-        match self.backing {
-            Backing::Single(rib) => rib.all_ues(),
-            Backing::Sharded(_) => {
-                let mut out = Vec::new();
-                for agent in self.agents() {
-                    for c in agent.cells() {
-                        for u in c.ues() {
-                            out.push((agent.enb_id, c.cell_id, u));
-                        }
-                    }
+        let mut out = Vec::new();
+        for agent in self.agents() {
+            for c in agent.cells() {
+                for u in c.ues() {
+                    out.push((agent.enb_id, c.cell_id, u));
                 }
-                out
             }
         }
+        out
     }
 
     pub fn n_ues(&self) -> usize {
-        match self.backing {
-            Backing::Single(rib) => rib.n_ues(),
-            Backing::Sharded(shards) => shards.iter().map(|s| s.rib().n_ues()).sum(),
-        }
+        self.ribs.iter().map(|rib| rib.n_ues()).sum()
     }
 
     /// Agents whose sessions are currently down, with their epoch
     /// starts, ascending by agent id.
     pub fn stale_agents(&self) -> Vec<(EnbId, Tti)> {
-        match self.backing {
-            Backing::Single(rib) => rib.stale_agents(),
-            Backing::Sharded(_) => self
-                .agents()
-                .into_iter()
-                .filter_map(|a| a.stale_since.map(|t| (a.enb_id, t)))
-                .collect(),
-        }
+        self.agents()
+            .into_iter()
+            .filter_map(|a| a.stale_since.map(|t| (a.enb_id, t)))
+            .collect()
     }
 
     /// Approximate heap footprint of the forest (paper Fig. 8's memory
-    /// series).
+    /// series): the sum over the backing forests.
     pub fn heap_bytes(&self) -> usize {
-        match self.backing {
-            Backing::Single(rib) => rib.heap_bytes(),
-            Backing::Sharded(shards) => shards.iter().map(|s| s.rib().heap_bytes()).sum(),
-        }
+        self.ribs.iter().map(|rib| rib.heap_bytes()).sum()
     }
 
     /// The agent's freshest synced subframe, if it syncs.
@@ -473,7 +430,6 @@ impl AppRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::master::TaskManagerConfig;
 
     struct Dummy(&'static str, Priority);
 
@@ -551,7 +507,7 @@ mod tests {
             assert!(ctl.schedule_dl(EnbId(1), cmd).is_err());
         }
         // Draining hands back the staged commands in order.
-        let staged = nb.take_staged();
+        let staged: Vec<_> = nb.drain_staged().collect();
         assert_eq!(staged.len(), 1);
         assert_eq!(staged[0].0, EnbId(1));
         assert!(nb.staged().is_empty());
@@ -575,16 +531,21 @@ mod tests {
 
     #[test]
     fn sharded_view_reads_across_shards_in_agent_order() {
-        let config = TaskManagerConfig::default();
-        let mut a = RibShard::new(0, 2, &config);
-        let mut b = RibShard::new(1, 2, &config);
         // Shard 0 owns agent 4, shard 1 owns agents 1 and 3 — agent-id
         // order must still come out ascending.
-        b.rib.agent_mut(EnbId(3)).last_sync = Some((Tti(7), Tti(8)));
-        a.rib.agent_mut(EnbId(4)).mark_stale(Tti(9));
-        b.rib.agent_mut(EnbId(1));
-        let shards = [a, b];
-        let view = RibView::sharded(Tti(10), &shards);
+        let mut a = Rib::new();
+        let mut b = Rib::new();
+        b.agent_mut(EnbId(3)).last_sync = Some((Tti(7), Tti(8)));
+        a.agent_mut(EnbId(4)).mark_stale(Tti(9));
+        b.agent_mut(EnbId(1));
+        for (rib, enb, rntis) in [(&mut a, 4, &[7u16, 2][..]), (&mut b, 1, &[5, 1][..])] {
+            for (cell, &rnti) in rntis.iter().enumerate() {
+                let node = rib.agent_mut(EnbId(enb)).cell_entry(CellId(cell as u16));
+                node.ue_entry(Rnti(rnti)).report.wideband_cqi = rnti as u8;
+            }
+        }
+        let ribs = [a, b];
+        let view = RibView::sharded(Tti(10), &ribs);
         assert_eq!(view.n_agents(), 3);
         let ids: Vec<EnbId> = view.agents().into_iter().map(|ag| ag.enb_id).collect();
         assert_eq!(ids, vec![EnbId(1), EnbId(3), EnbId(4)]);
@@ -594,5 +555,38 @@ mod tests {
         assert_eq!(view.stale_agents(), vec![(EnbId(4), Tti(9))]);
         assert!(view.agent(EnbId(2)).is_none());
         assert!(view.heap_bytes() > 0);
+
+        // Differential: the two-forest view answers every query exactly
+        // as the one-forest view over the merged RIB does.
+        let merged = crate::shard::merged_rib(&ribs);
+        let one = RibView::over(Tti(10), &merged);
+        assert_eq!(view.agents(), one.agents());
+        let as_set = |v: &RibView<'_>| -> BTreeSet<EnbId> {
+            v.agents_unordered().map(|ag| ag.enb_id).collect()
+        };
+        assert_eq!(as_set(&view), as_set(&one));
+        assert_eq!(
+            view.agents_unordered().count(),
+            one.agents_unordered().count()
+        );
+        assert_eq!(view.n_agents(), one.n_agents());
+        assert_eq!(view.all_ues(), one.all_ues());
+        assert_eq!(view.all_ues().len(), 4);
+        assert_eq!(view.n_ues(), one.n_ues());
+        assert_eq!(view.stale_agents(), one.stale_agents());
+        for enb in (0..=5).map(EnbId) {
+            assert_eq!(view.agent(enb), one.agent(enb), "{enb}");
+            assert_eq!(view.synced_subframe(enb), one.synced_subframe(enb), "{enb}");
+            assert_eq!(view.is_stale(enb), one.is_stale(enb), "{enb}");
+        }
+        // A heap footprint is per forest (each has its own slab), so the
+        // merged forest's differs by construction: the two-forest view
+        // sums its forests, and a one-forest view is that forest's own.
+        let per_forest: usize = ribs
+            .iter()
+            .map(|rib| RibView::over(Tti(10), rib).heap_bytes())
+            .sum();
+        assert_eq!(view.heap_bytes(), per_forest);
+        assert_eq!(one.heap_bytes(), merged.heap_bytes());
     }
 }

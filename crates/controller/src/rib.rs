@@ -219,7 +219,7 @@ struct WriteGuard {
 /// assigned on attach, stays stable for the agent's lifetime, and is
 /// recycled after a permanent departure. The `EnbId` → slot map is the
 /// *cold* path — attach, detach and point queries; every per-cycle walk
-/// (`agents`, `all_ues`, the shard RIB slot) iterates `order`, which
+/// (`agents`, `n_ues`, the shard RIB slot) iterates `order`, which
 /// holds the live slots ascending by agent id so iteration order — and
 /// therefore every digest and journal snapshot — is bit-identical to
 /// the B-tree forest this replaced.
@@ -416,19 +416,6 @@ impl Rib {
         self.cell(enb, cell)?.ue(rnti)
     }
 
-    /// All UEs across the forest, with their coordinates.
-    pub fn all_ues(&self) -> Vec<(EnbId, CellId, &UeNode)> {
-        let mut out = Vec::new();
-        for a in self.agents() {
-            for c in a.cells() {
-                for u in c.ues() {
-                    out.push((a.enb_id, c.cell_id, u));
-                }
-            }
-        }
-        out
-    }
-
     /// Total UE count.
     pub fn n_ues(&self) -> usize {
         self.agents()
@@ -491,7 +478,6 @@ mod tests {
         assert_eq!(rib.n_ues(), 1);
         assert!(rib.ue(EnbId(1), CellId(0), Rnti(0x100)).is_some());
         assert!(rib.ue(EnbId(1), CellId(0), Rnti(0x101)).is_none());
-        assert_eq!(rib.all_ues().len(), 1);
         rib.remove_agent(EnbId(1));
         assert_eq!(rib.n_agents(), 0);
     }

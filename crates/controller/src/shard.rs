@@ -4,16 +4,19 @@
 //! requires one serial loop: every agent message mutates only that
 //! agent's RIB subtree, and the single-writer discipline (Fig. 5) is a
 //! *per-subtree* property. A [`RibShard`] is the unit of that
-//! partitioning — it owns a disjoint set of agents and, for them, the
-//! complete vertical slice of master state:
+//! partitioning — it owns a disjoint set of agents and, for them:
 //!
-//! * a private [`Rib`] forest holding only the owned agents' subtrees,
 //! * its own single-writer [`RibUpdater`] (one writer **per shard** —
 //!   the R1 lint's discipline, now multiplied),
 //! * its own [`RibJournal`] segment (crash recovery replays segments
 //!   independently; the container format is `journal::encode_segments`),
-//! * the agent sessions themselves, so a shard's RIB slot touches no
-//!   state outside the shard and can run on a worker thread.
+//! * the agent sessions themselves.
+//!
+//! The owned agents' subtrees live in a separate [`Rib`] forest per
+//! shard, kept by the master in a `Vec<Rib>` beside the shards so the
+//! northbound reads the forests without touching shard state. A shard's
+//! RIB slot takes its own forest by `&mut` and touches nothing else, so
+//! a harness can run the slots on worker threads.
 //!
 //! The partitioning is fixed at construction: with `n` shards, agent
 //! `e` is owned by shard `e mod n`. The mapping depends only on the
@@ -22,14 +25,11 @@
 //! `SimHarness` builds one shard per engine worker, so the shard slots
 //! fan out over the same pool as the agents' TTI phases.
 //!
-//! Cross-shard interactions never touch another shard's RIB. They are
-//! explicit [`CrossShardMsg`] values posted to the target shard's
-//! mailbox by the master at the serial barrier after the shard fan-out:
-//! staged northbound commands are routed to the owning shard's sessions,
-//! and a handover whose source and target agents live in different
-//! shards additionally posts a [`CrossShardMsg::HandoverNotice`] to the
-//! target's shard (coordination bookkeeping — deliberately inert so a
-//! sharded run stays bit-identical to the 1-shard baseline).
+//! No shard ever reads or writes another shard's forest. What crosses
+//! shards happens serially at the master's barrier: staged northbound
+//! commands and rollout pushes are sent on the owning shard's session,
+//! and a session that re-introduces itself as a foreign agent is moved
+//! to the owning shard.
 //!
 //! Determinism: each shard tags the events it raises with the session's
 //! *global* index and a phase number; the master stable-sorts the merged
@@ -191,24 +191,6 @@ impl Session {
 /// than any staleness an operator would notice.
 pub(crate) const RESYNC_NUDGE_PERIOD: u64 = 25;
 
-/// A typed cross-shard message. The only way state crosses a shard
-/// boundary: posted to the target shard's mailbox by the master and
-/// drained serially (shard-index order) at the barrier after the shard
-/// fan-out, so multi-shard runs stay bit-identical to 1-shard runs.
-#[derive(Debug)]
-pub enum CrossShardMsg {
-    /// A staged northbound command routed to the shard owning `enb`.
-    Command {
-        enb: EnbId,
-        header: Header,
-        msg: FlexranMessage,
-    },
-    /// Coordination heads-up to the shard owning a handover target whose
-    /// source agent lives in a different shard. Bookkeeping only — it
-    /// must stay digest-neutral (1-shard runs never produce one).
-    HandoverNotice { from: EnbId, to: EnbId },
-}
-
 /// Event-merge phases, in the order the old serial loop raised them.
 pub(crate) const PHASE_DRAIN: u8 = 0;
 pub(crate) const PHASE_REJOIN: u8 = 1;
@@ -242,26 +224,24 @@ pub(crate) fn owner_of(enb: EnbId, n_shards: usize) -> usize {
 }
 
 /// One shard of the partitioned master: a disjoint set of agents with
-/// their RIB subtrees, single-writer updater, journal segment, and
-/// sessions. `run_rib_slot` touches nothing outside the shard, so the
-/// master fans shards out on the scoped worker pool.
+/// their single-writer updater, journal segment, and sessions. The
+/// agents' subtrees live in the shard's own [`Rib`], which the master
+/// keeps beside the shard and passes to [`RibShard::run_rib_slot`]; the
+/// slot touches nothing else, so the master fans shards out on the
+/// scoped worker pool.
 pub struct RibShard {
     index: usize,
     n_shards: usize,
     liveness_timeout: u64,
-    pub(crate) rib: Rib,
     pub(crate) updater: RibUpdater,
     pub(crate) journal: Option<RibJournal>,
     pub(crate) sessions: Vec<Session>,
     pub(crate) liveness: SessionLivenessStats,
     /// Events raised this cycle, drained by the master's merge.
     pub(crate) events: Vec<TaggedEvent>,
-    /// Incoming cross-shard messages (drained at the barrier).
-    pub(crate) mailbox: Vec<CrossShardMsg>,
     /// Config-bundle acks received this cycle, drained by the master's
     /// rollout step at the barrier.
     pub(crate) config_acks: Vec<BundleAck>,
-    coordination_notices: u64,
 }
 
 impl RibShard {
@@ -270,41 +250,31 @@ impl RibShard {
             index,
             n_shards,
             liveness_timeout: config.liveness_timeout,
-            rib: Rib::new(),
             updater: RibUpdater::new(),
             journal: (config.journal_snapshot_every > 0)
                 .then(|| RibJournal::new(config.journal_snapshot_every)),
             sessions: Vec::new(),
             liveness: SessionLivenessStats::default(),
             events: Vec::new(),
-            mailbox: Vec::new(),
             config_acks: Vec::new(),
-            coordination_notices: 0,
         }
     }
 
-    /// This shard's RIB forest (only the owned agents' subtrees).
-    pub fn rib(&self) -> &Rib {
-        &self.rib
+    /// The session that identified itself as `enb`, if it is on this
+    /// shard.
+    pub(crate) fn session_mut(&mut self, enb: EnbId) -> Option<&mut Session> {
+        self.sessions.iter_mut().find(|s| s.enb_id == Some(enb))
     }
 
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Cross-shard handover notices observed at the barrier.
-    pub fn coordination_notices(&self) -> u64 {
-        self.coordination_notices
-    }
-
-    /// Run this shard's RIB slot for cycle `now`: drain the owned
-    /// sessions, fold messages through the shard's single writer,
-    /// journal deltas, process rejoins and liveness timeouts. Exactly
-    /// the old serial master loop, restricted to the shard's agents.
+    /// Run this shard's RIB slot for cycle `now` over `rib`, the shard's
+    /// own forest: drain the owned sessions, fold messages through the
+    /// shard's single writer, journal deltas, process rejoins and
+    /// liveness timeouts. Exactly the old serial master loop, restricted
+    /// to the shard's agents.
     // lint:no-alloc — per-TTI shard slot; steady state must not touch the heap
-    pub fn run_rib_slot(&mut self, now: Tti) {
+    pub fn run_rib_slot(&mut self, rib: &mut Rib, now: Tti) {
         let (index, n_shards) = (self.index, self.n_shards);
-        self.rib.open_write_cycle(now);
+        rib.open_write_cycle(now);
         // Pushes happen only on the cold rejoin edge after an outage.
         // lint:allow(hot-alloc) Vec::new never allocates
         let mut rejoined: Vec<usize> = Vec::new();
@@ -377,29 +347,15 @@ impl RibShard {
                         break;
                     }
                     session.enb_id = Some(h.enb_id);
-                    session.needs_resync_nudge = false;
                     session.applied_config = h.applied_config;
                 }
+                // A session enters a shard with its `Hello` first in
+                // `carryover`, so it always has an identity here; pre-hello
+                // traffic is handled in the master's limbo drain.
                 let Some(enb) = session.enb_id else {
-                    // Pre-hello traffic carries no identity; it is not
-                    // folded into the RIB. On a recovered master it still
-                    // proves an agent is on this transport, so nudge it
-                    // (paced, retried) to re-introduce itself and push
-                    // full state.
-                    if session.take_nudge(now) {
-                        let xid = session.next_xid();
-                        // lint:allow(alloc-reach) recovery nudge — paced, pre-hello only
-                        let _ = session.transport.send(
-                            Header::with_xid(xid),
-                            &FlexranMessage::ResyncRequest(ResyncRequest {
-                                enb_id: EnbId(0),
-                                since_tti: 0,
-                            }),
-                        );
-                    }
                     continue;
                 };
-                if let Some(ev) = self.updater.apply(&mut self.rib, enb, msg, now) {
+                if let Some(ev) = self.updater.apply(rib, enb, msg, now) {
                     self.events.push(TaggedEvent {
                         phase: PHASE_DRAIN,
                         order: session.global_idx,
@@ -429,13 +385,12 @@ impl RibShard {
             // StatsReply) before replaying delegated state, so both sides
             // converge from a known-good base. After a master crash this
             // is the reconciliation leg of recovery.
-            let since_tti = self
-                .rib
+            let since_tti = rib
                 .agent(enb)
                 .and_then(|a| a.synced_subframe())
                 .map(|t| t.0)
                 .unwrap_or(0);
-            self.updater.agent_rejoined(&mut self.rib, enb);
+            self.updater.agent_rejoined(rib, enb);
             self.liveness.ups += 1;
             self.events.push(TaggedEvent {
                 phase: PHASE_REJOIN,
@@ -472,7 +427,7 @@ impl RibShard {
                 };
                 if !session.down && now.0.saturating_sub(last_rx.0) >= self.liveness_timeout {
                     session.down = true;
-                    self.updater.agent_down(&mut self.rib, enb, now);
+                    self.updater.agent_down(rib, enb, now);
                     self.liveness.downs += 1;
                     self.events.push(TaggedEvent {
                         phase: PHASE_DOWN,
@@ -486,36 +441,12 @@ impl RibShard {
         // journaled; rewrite the snapshot on the compaction schedule so
         // journal memory stays bounded by shard RIB size.
         if let Some(journal) = self.journal.as_mut() {
-            journal.on_write_cycle(&self.rib);
+            journal.on_write_cycle(rib);
         }
         // The RIB slot is over: this shard's single writer's window
         // closes, and (under `debug-invariants`) any app-slot mutation
         // now asserts.
-        self.rib.close_write_cycle();
-    }
-
-    /// Drain the cross-shard mailbox at the barrier: dispatch routed
-    /// commands on the owned sessions, record coordination notices.
-    /// Called serially by the master in shard-index order.
-    pub(crate) fn drain_mailbox(&mut self) {
-        let mut mailbox = std::mem::take(&mut self.mailbox);
-        for entry in mailbox.drain(..) {
-            match entry {
-                CrossShardMsg::Command { enb, header, msg } => {
-                    if let Some(session) = self.sessions.iter_mut().find(|s| s.enb_id == Some(enb))
-                    {
-                        // lint:allow(alloc-reach) cross-shard command forwarding — command-driven
-                        let _ = session.transport.send(header, &msg);
-                    }
-                }
-                CrossShardMsg::HandoverNotice { .. } => {
-                    self.coordination_notices += 1;
-                }
-            }
-        }
-        // Hand the (now empty) buffer back so the mailbox does not
-        // reallocate every cycle.
-        self.mailbox = mailbox;
+        rib.close_write_cycle();
     }
 }
 
@@ -523,10 +454,10 @@ impl RibShard {
 /// snapshot: recovery golden tests, debug digests, diagnostics). The
 /// result is a fresh, never-cycled RIB, so its `Debug` form and write
 /// state are identical for every shard count.
-pub fn merged_rib(shards: &[RibShard]) -> Rib {
+pub fn merged_rib(ribs: &[Rib]) -> Rib {
     let mut rib = Rib::new();
-    for shard in shards {
-        for agent in shard.rib.agents() {
+    for shard_rib in ribs {
+        for agent in shard_rib.agents() {
             rib.adopt_agent(agent.clone());
         }
     }
@@ -549,11 +480,10 @@ mod tests {
 
     #[test]
     fn merged_rib_is_fresh_and_complete() {
-        let config = TaskManagerConfig::default();
-        let mut a = RibShard::new(0, 2, &config);
-        let mut b = RibShard::new(1, 2, &config);
-        a.rib.agent_mut(EnbId(2)).connected_at = Tti(5);
-        b.rib.agent_mut(EnbId(1)).connected_at = Tti(3);
+        let mut a = Rib::new();
+        let mut b = Rib::new();
+        a.agent_mut(EnbId(2)).connected_at = Tti(5);
+        b.agent_mut(EnbId(1)).connected_at = Tti(3);
         let merged = merged_rib(&[a, b]);
         assert_eq!(merged.n_agents(), 2);
         assert_eq!(merged.agent(EnbId(1)).unwrap().connected_at, Tti(3));

@@ -123,8 +123,9 @@ struct PhaseBOut {
 }
 
 /// Run `f(i, item)` for every item in index order, writing the result
-/// into `out[i]`. Items are whatever the caller iterates: `&mut` agents
-/// or shards, or (agent, UE bucket) pairs zipped from two slices. With
+/// into `out[i]`. Items are whatever the caller iterates: `&mut` agents,
+/// or pairs zipped from two slices — (shard, RIB forest) and (agent, UE
+/// bucket). With
 /// `workers > 1` the index space is split into contiguous chunks: a
 /// scoped thread per chunk, except the last, which the calling thread
 /// runs itself. Each thread owns its chunk's items and a disjoint slice
@@ -761,10 +762,11 @@ impl SimHarness {
 
         // 1. Master cycle (commands ride the links this TTI): a serial
         //    begin (limbo routing, cycle clock), the per-shard RIB
-        //    slots fanned out over the worker pool, and a serial finish
-        //    (agent-index-ordered event merge, apps slot, cross-shard
-        //    mailbox). A crashed master runs nothing, and its dead
-        //    sockets swallow whatever the agents send.
+        //    slots fanned out over the worker pool as (shard, forest)
+        //    pairs, and a serial finish (agent-index-ordered event
+        //    merge, apps slot, staged commands sent on the owning
+        //    shards' sessions). A crashed master runs nothing, and its
+        //    dead sockets swallow whatever the agents send.
         let workers = self.config.worker_count();
         // Output sink of the fan-outs that return nothing.
         // lint:allow(hot-alloc) Vec<()> of ZSTs can never allocate
@@ -779,13 +781,12 @@ impl SimHarness {
             // workers leaves shards empty, and an empty shard is not
             // worth a thread.
             let shard_workers = workers.min(self.agents.len());
+            let (shards, ribs) = self.master.rib_slots_mut();
             fan_out(
-                self.master.shards_mut(),
+                shards.iter_mut().zip(ribs.iter_mut()),
                 &mut unit,
                 shard_workers,
-                |_, shard| {
-                    shard.run_rib_slot(now);
-                },
+                |_, (shard, rib)| shard.run_rib_slot(rib, now),
             );
             self.master.finish_cycle(now);
         }

@@ -30,7 +30,10 @@ echo "==> determinism + master-recovery tests with debug-invariants assertions"
 cargo test --quiet --release -p flexran --features debug-invariants --test determinism
 cargo test --quiet --release -p flexran --features debug-invariants --test master_recovery
 
-echo "==> allocation-regression gate (2 eNBs x 32 UEs: silent, ceiling 0 allocs; 1 ms stats, ceiling 2 allocs/TTI)"
+echo "==> ttibench (its own workspace; builds against the harness and master APIs)"
+cargo test --quiet --release --offline --manifest-path ttibench/Cargo.toml
+
+echo "==> allocation-regression gate (2 eNBs x 32 UEs: silent, ceiling 0 allocs; 1 ms stats, ceiling 2 allocs/TTI; 1 ms stats on 2 workers, ceiling 17 allocs/TTI)"
 cargo run --quiet --release -p flexran-bench --bin experiments -- \
     allocgate --out target/check-allocgate
 

@@ -20,6 +20,7 @@ use flexran::sim::link::{FaultConfig, FaultHandle, LinkConfig};
 use flexran::sim::radio::RadioEnvironment;
 use flexran::sim::traffic::{CbrSource, FullBufferSource};
 use flexran::stack::enb::EnbParams;
+use flexran::stack::events::EnbEvent;
 use flexran::stack::stats::fold_ue_digest;
 use flexran::types::hash::Fnv1a;
 use flexran::types::units::Dbm;
@@ -269,16 +270,27 @@ fn slab_rib_digests_match_pre_flattening_goldens() {
 #[test]
 fn sharded_scenario_exercises_cross_shard_handovers() {
     // The workers loop above is only meaningful if handovers actually
-    // cross shard boundaries: with 2 workers (2 shards) the mobility
-    // manager's commands route between the shards through the
-    // cross-shard mailbox.
+    // cross shard boundaries: with 2 workers (2 shards, agent `e` on
+    // shard `e % 2`) the source and target agents of a handover must
+    // sometimes sit on different shards. The source raises
+    // `HandoverExecuted`; by the end of the step the UE is served by
+    // the target.
     let (mut sim, _ues) = build(Some(2), false);
+    assert_eq!(sim.master().n_shards(), 2);
+    let mut cross_shard = 0;
     for _ in 0..TTIS {
         sim.step();
+        for (src, ev) in &sim.last_events {
+            if let EnbEvent::HandoverExecuted { ue, .. } = ev {
+                let dst = sim.serving_enb(*ue).expect("handed-over UE is served");
+                if src.0 % 2 != dst.0 % 2 {
+                    cross_shard += 1;
+                }
+            }
+        }
     }
-    assert_eq!(sim.master().n_shards(), 2);
     assert!(
-        sim.master().cross_shard_handovers() > 0,
+        cross_shard > 0,
         "no handover ever crossed a shard boundary — the scenario is too tame"
     );
 }
